@@ -161,6 +161,13 @@ bool RowEq::operator()(const Row& a, const Row& b) const {
   return RowsEqual(a, b);
 }
 
+void ConcatRows(const Row& left, const Row& right, Row* out) {
+  out->clear();
+  out->reserve(left.size() + right.size());
+  out->insert(out->end(), left.begin(), left.end());
+  out->insert(out->end(), right.begin(), right.end());
+}
+
 bool RowsEqual(const Row& a, const Row& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {

@@ -111,6 +111,9 @@ struct RowEq {
 /// True iff the rows are element-wise `Value::Equals`.
 bool RowsEqual(const Row& a, const Row& b);
 
+/// Replaces `*out` with `left` followed by `right`.
+void ConcatRows(const Row& left, const Row& right, Row* out);
+
 /// Renders a row as "(v1, v2, ...)".
 std::string RowToString(const Row& row);
 

@@ -75,7 +75,7 @@ class ExecContext {
     // Per-phase Exchange attribution: wall-clock time of the parallel
     // morsel fan-out (partition phase, during Open) and of streaming the
     // per-morsel buffers back out in morsel order (merge phase, during
-    // Next/NextBatch), plus the total rows the exchanges produced.
+    // NextBatch), plus the total rows the exchanges produced.
     uint64_t exchange_partition_ns = 0;
     uint64_t exchange_merge_ns = 0;
     uint64_t exchange_rows = 0;
@@ -138,7 +138,7 @@ class ExecContext {
   Counters& counters() { return counters_; }
 
   /// Target rows per batch for `PhysOp::NextBatch` (a scheduling hint, see
-  /// RowBatch). 1 degenerates to row-at-a-time through the batch API.
+  /// RowBatch). 1 is row-at-a-time.
   size_t batch_size() const { return batch_size_; }
   void set_batch_size(size_t n) { batch_size_ = n == 0 ? 1 : n; }
 
@@ -149,7 +149,7 @@ class ExecContext {
   bool profiling() const { return profiling_; }
   void set_profiling(bool on) { profiling_ = on; }
 
-  /// Profiler-only stack of operators currently inside their Open/Next/
+  /// Profiler-only stack of operators currently inside their Open/
   /// NextBatch/Close entry point. The top entry below `this` is the
   /// operator that pulled, which is how each operator's rows_in is credited
   /// independently of its children's rows_out (the fuzzer asserts the two

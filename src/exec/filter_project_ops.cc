@@ -32,23 +32,10 @@ Status FilterOp::OpenImpl(ExecContext* ctx) {
   return child_->Open(ctx);
 }
 
-Result<bool> FilterOp::NextImpl(ExecContext* ctx, Row* out) {
-  while (true) {
-    ASSIGN_OR_RETURN(bool has, child_->Next(ctx, out));
-    if (!has) return false;
-    ASSIGN_OR_RETURN(bool pass, EvalPredicate(*predicate_, *out, *ctx->eval()));
-    if (pass) return true;
-  }
-}
-
 Result<bool> FilterOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   out->Clear();
-  if (child_batch_.capacity() != out->capacity()) {
-    child_batch_ = RowBatch(out->capacity());
-  }
-  // Pull child batches until some row survives the predicate (or EOS). The
-  // batch predicate evaluation plus the selection pass replace one virtual
-  // Next and one recursive Eval per input row.
+  child_batch_.Reset(out->capacity());
+  // Pull child batches until some row survives the predicate (or EOS).
   while (out->empty()) {
     ASSIGN_OR_RETURN(bool has, child_->NextBatch(ctx, &child_batch_));
     if (!has) return false;
@@ -131,24 +118,9 @@ Status ProjectOp::OpenImpl(ExecContext* ctx) {
   return child_->Open(ctx);
 }
 
-Result<bool> ProjectOp::NextImpl(ExecContext* ctx, Row* out) {
-  Row in;
-  ASSIGN_OR_RETURN(bool has, child_->Next(ctx, &in));
-  if (!has) return false;
-  out->clear();
-  out->reserve(exprs_.size());
-  for (const ExprPtr& e : exprs_) {
-    ASSIGN_OR_RETURN(Value v, e->Eval(in, *ctx->eval()));
-    out->push_back(std::move(v));
-  }
-  return true;
-}
-
 Result<bool> ProjectOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   out->Clear();
-  if (child_batch_.capacity() != out->capacity()) {
-    child_batch_ = RowBatch(out->capacity());
-  }
+  child_batch_.Reset(out->capacity());
   ASSIGN_OR_RETURN(bool has, child_->NextBatch(ctx, &child_batch_));
   if (!has) return false;
   // Evaluate expression-at-a-time over the batch, then zip the columns
@@ -259,7 +231,8 @@ Status SortOp::OpenImpl(ExecContext* ctx) {
   mem_.Reset(budgeted ? ctx->memory() : nullptr);
 
   RETURN_NOT_OK(child_->Open(ctx));
-  RowBatch batch(ctx->batch_size());
+  RowBatch& batch = input_batch_;
+  batch.Reset(ctx->batch_size());
   uint64_t total_rows = 0;
   while (true) {
     ASSIGN_OR_RETURN(bool has, child_->NextBatch(ctx, &batch));
@@ -324,13 +297,6 @@ Result<bool> SortOp::MergeNext(Row* out) {
     return true;
   }
   *out = std::move(rows_[pos_++]);
-  return true;
-}
-
-Result<bool> SortOp::NextImpl(ExecContext*, Row* out) {
-  if (spilled_) return MergeNext(out);
-  if (pos_ >= rows_.size()) return false;
-  *out = rows_[pos_++];
   return true;
 }
 

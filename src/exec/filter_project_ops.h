@@ -15,13 +15,11 @@ namespace gapply {
 
 /// Emits input rows whose predicate evaluates to TRUE (NULL rejects).
 ///
-/// The batch path evaluates the predicate with the configured expression
-/// engine (set_expr_engine, stamped by lowering): under bytecode the
-/// predicate is compiled once at first Open into an ExprProgram producing
-/// keep flags column-at-a-time, falling back to the interpreter — with the
-/// compiler's reason recorded in the runtime profile — when a node is
-/// unsupported. The row path always interprets (it exists as the
-/// vectorization baseline).
+/// The predicate runs on the configured expression engine
+/// (set_expr_engine, stamped by lowering): under bytecode it is compiled
+/// once at first Open into an ExprProgram producing keep flags
+/// column-at-a-time, falling back to the interpreter — with the compiler's
+/// reason recorded in the runtime profile — when a node is unsupported.
 class FilterOp : public PhysOp {
  public:
   FilterOp(PhysOpPtr child, ExprPtr predicate);
@@ -29,7 +27,6 @@ class FilterOp : public PhysOp {
   void set_expr_engine(ExprEngine engine) { expr_engine_ = engine; }
 
   Status OpenImpl(ExecContext* ctx) override;
-  Result<bool> NextImpl(ExecContext* ctx, Row* out) override;
   Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   Status CloseImpl(ExecContext* ctx) override;
   std::string DebugName() const override;
@@ -47,8 +44,8 @@ class FilterOp : public PhysOp {
   std::unique_ptr<ExprProgram> program_;
   std::string fallback_reason_;
 
-  // Native batch path scratch: the current child batch and its selection
-  // flags, reused across NextBatch calls.
+  // Scratch: the current child batch and its selection flags, reused
+  // across NextBatch calls.
   RowBatch child_batch_;
   std::vector<char> keep_;
 };
@@ -69,7 +66,6 @@ class ProjectOp : public PhysOp {
   void set_expr_engine(ExprEngine engine) { expr_engine_ = engine; }
 
   Status OpenImpl(ExecContext* ctx) override;
-  Result<bool> NextImpl(ExecContext* ctx, Row* out) override;
   Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   Status CloseImpl(ExecContext* ctx) override;
   std::string DebugName() const override;
@@ -88,8 +84,8 @@ class ProjectOp : public PhysOp {
   std::vector<std::unique_ptr<ExprProgram>> programs_;
   std::string fallback_reason_;
 
-  // Native batch path scratch: child batch + one evaluated column per
-  // projection expression.
+  // Scratch: child batch + one evaluated column per projection
+  // expression.
   RowBatch child_batch_;
   std::vector<std::vector<Value>> columns_;
 };
@@ -118,7 +114,6 @@ class SortOp : public PhysOp {
   SortOp(PhysOpPtr child, std::vector<SortKey> keys);
 
   Status OpenImpl(ExecContext* ctx) override;
-  Result<bool> NextImpl(ExecContext* ctx, Row* out) override;
   Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   Status CloseImpl(ExecContext* ctx) override;
   std::string DebugName() const override;
@@ -138,6 +133,7 @@ class SortOp : public PhysOp {
   std::vector<SortKey> keys_;
   std::vector<Row> rows_;
   size_t pos_ = 0;
+  RowBatch input_batch_;  // child batch scratch, reused across re-opens
 
   // External-merge state; empty/false while the sort fits in memory.
   MemoryReservation mem_;

@@ -39,13 +39,6 @@ uint64_t NowNs() {
           .count());
 }
 
-void AppendPrefixed(const Row& key, const Row& suffix, Row* out) {
-  out->clear();
-  out->reserve(key.size() + suffix.size());
-  out->insert(out->end(), key.begin(), key.end());
-  out->insert(out->end(), suffix.begin(), suffix.end());
-}
-
 // Grace spill geometry (mirrors HashJoinOp's). Partitioning is by gid, so
 // every group's members land in exactly one file per level.
 constexpr size_t kSpillFanout = 8;
@@ -91,7 +84,9 @@ Status GApplyOp::Partition(ExecContext* ctx) {
   mem_.Reset(budgeted ? ctx->memory() : nullptr);
 
   RETURN_NOT_OK(outer_->Open(ctx));
-  RowBatch batch(ctx->batch_size());
+  // The PGQ batch doubles as the partition-phase scratch.
+  RowBatch& batch = pgq_batch_;
+  batch.Reset(ctx->batch_size());
 
   if (mode_ == PartitionMode::kHash) {
     // Hash mode partitions batch-at-a-time, straight off the outer child:
@@ -235,13 +230,13 @@ Status GApplyOp::CloseGroup(ExecContext* ctx) {
 }
 
 Status GApplyOp::ExecuteOneGroup(PhysOp* pgq, ExecContext* ctx, size_t g,
-                                 std::vector<Row>* out) {
-  return ExecuteGroupRows(pgq, ctx, g, groups_[g], out);
+                                 RowBatch* batch, std::vector<Row>* out) {
+  return ExecuteGroupRows(pgq, ctx, g, groups_[g], batch, out);
 }
 
 Status GApplyOp::ExecuteGroupRows(PhysOp* pgq, ExecContext* ctx, size_t g,
                                   const std::vector<Row>& rows,
-                                  std::vector<Row>* out) {
+                                  RowBatch* batch, std::vector<Row>* out) {
   ctx->BindGroup(var_name_, &outer_->output_schema(), &rows);
   Status st = pgq->Open(ctx);
   if (!st.ok()) {
@@ -250,18 +245,18 @@ Status GApplyOp::ExecuteGroupRows(PhysOp* pgq, ExecContext* ctx, size_t g,
   }
   ctx->counters().pgq_executions++;
   const Row& key = group_keys_[g];
-  RowBatch batch(ctx->batch_size());
+  batch->Reset(ctx->batch_size());
   while (true) {
-    auto next = pgq->NextBatch(ctx, &batch);
+    auto next = pgq->NextBatch(ctx, batch);
     if (!next.ok()) {
       (void)pgq->Close(ctx);
       (void)ctx->UnbindGroup(var_name_);
       return next.status();
     }
     if (!*next) break;
-    for (const Row& pgq_row : batch.rows()) {
+    for (const Row& pgq_row : batch->rows()) {
       Row full;
-      AppendPrefixed(key, pgq_row, &full);
+      ConcatRows(key, pgq_row, &full);
       out->push_back(std::move(full));
     }
   }
@@ -278,6 +273,7 @@ Status GApplyOp::ExecuteGroupsParallel(ExecContext* ctx) {
   struct WorkerState {
     PhysOpPtr pgq;
     ExecContext ctx;
+    RowBatch batch;  // PGQ pull scratch, reused across the worker's groups
     Status error = Status::OK();
     size_t error_group = 0;
     bool failed = false;
@@ -308,7 +304,7 @@ Status GApplyOp::ExecuteGroupsParallel(ExecContext* ctx) {
         const size_t g = next_group.fetch_add(1, std::memory_order_relaxed);
         if (g >= groups_.size()) break;
         ws.groups_claimed++;
-        Status st = ExecuteOneGroup(ws.pgq.get(), &ws.ctx, g,
+        Status st = ExecuteOneGroup(ws.pgq.get(), &ws.ctx, g, &ws.batch,
                                     &group_outputs_[g]);
         if (!st.ok()) {
           ws.error = std::move(st);
@@ -471,7 +467,7 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
   rows.clear();
   for (uint64_t g : order) {
     RETURN_NOT_OK(ExecuteGroupRows(pgq_.get(), ctx, static_cast<size_t>(g),
-                                   members[g],
+                                   members[g], &pgq_batch_,
                                    &group_outputs_[static_cast<size_t>(g)]));
   }
   RemoveFile(path);
@@ -524,41 +520,6 @@ Status GApplyOp::OpenImpl(ExecContext* ctx) {
   return Status::OK();
 }
 
-Result<bool> GApplyOp::NextImpl(ExecContext* ctx, Row* out) {
-  if (parallel_exec_) {
-    while (current_group_ < group_outputs_.size()) {
-      std::vector<Row>& rows = group_outputs_[current_group_];
-      if (output_pos_ < rows.size()) {
-        *out = std::move(rows[output_pos_++]);
-        return true;
-      }
-      // Release each group's buffer as soon as it is drained.
-      rows.clear();
-      rows.shrink_to_fit();
-      ++current_group_;
-      output_pos_ = 0;
-    }
-    return false;
-  }
-
-  while (current_group_ < groups_.size()) {
-    if (!group_open_) RETURN_NOT_OK(OpenGroup(ctx));
-    Row pgq_row;
-    auto next = pgq_->Next(ctx, &pgq_row);
-    if (!next.ok()) {
-      (void)CloseGroup(ctx);
-      return next.status();
-    }
-    if (*next) {
-      AppendPrefixed(group_keys_[current_group_], pgq_row, out);
-      return true;
-    }
-    RETURN_NOT_OK(CloseGroup(ctx));
-    ++current_group_;
-  }
-  return false;
-}
-
 Result<bool> GApplyOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   out->Clear();
 
@@ -587,9 +548,7 @@ Result<bool> GApplyOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
 
   // Serial phase 2: pull PGQ batches for the open group and emit them
   // key-prefixed, rolling over group boundaries until the batch fills.
-  if (pgq_batch_.capacity() != out->capacity()) {
-    pgq_batch_ = RowBatch(out->capacity());
-  }
+  pgq_batch_.Reset(out->capacity());
   while (current_group_ < groups_.size() && !out->full()) {
     if (!group_open_) RETURN_NOT_OK(OpenGroup(ctx));
     auto next = pgq_->NextBatch(ctx, &pgq_batch_);
@@ -605,7 +564,7 @@ Result<bool> GApplyOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     const Row& key = group_keys_[current_group_];
     for (const Row& pgq_row : pgq_batch_.rows()) {
       Row full;
-      AppendPrefixed(key, pgq_row, &full);
+      ConcatRows(key, pgq_row, &full);
       out->Add(std::move(full));
     }
   }

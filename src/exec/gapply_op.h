@@ -63,7 +63,6 @@ class GApplyOp : public PhysOp {
            PartitionMode mode = PartitionMode::kHash, size_t parallelism = 1);
 
   Status OpenImpl(ExecContext* ctx) override;
-  Result<bool> NextImpl(ExecContext* ctx, Row* out) override;
   Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   Status CloseImpl(ExecContext* ctx) override;
   std::string DebugName() const override;
@@ -80,16 +79,17 @@ class GApplyOp : public PhysOp {
   Status OpenGroup(ExecContext* ctx);
   Status CloseGroup(ExecContext* ctx);
 
-  /// Runs `pgq` over group `g` with bindings in `ctx`, appending key-prefixed
-  /// output rows to `*out`. Thread-safe w.r.t. other groups: reads only the
-  /// materialized partitions, mutates only `ctx` and `*out`.
+  /// Runs `pgq` over group `g` with bindings in `ctx`, pulling through the
+  /// scratch `*batch` and appending key-prefixed output rows to `*out`.
+  /// Thread-safe w.r.t. other groups: reads only the materialized
+  /// partitions, mutates only `ctx`, `*batch` and `*out`.
   Status ExecuteOneGroup(PhysOp* pgq, ExecContext* ctx, size_t g,
-                         std::vector<Row>* out);
+                         RowBatch* batch, std::vector<Row>* out);
 
   /// ExecuteOneGroup over an explicit member-row vector (the spill path
   /// re-loads members from disk instead of reading groups_[g]).
   Status ExecuteGroupRows(PhysOp* pgq, ExecContext* ctx, size_t g,
-                          const std::vector<Row>& rows,
+                          const std::vector<Row>& rows, RowBatch* batch,
                           std::vector<Row>* out);
 
   /// Phase-2 fan-out: executes every group on a worker pool, filling
@@ -122,7 +122,7 @@ class GApplyOp : public PhysOp {
   bool group_open_ = false;
   uint64_t group_open_ns_ = 0;  // steady_clock stamp of the OpenGroup call
 
-  // Parallel-path state: per-group output buffers, streamed by Next.
+  // Parallel-path state: per-group output buffers, streamed by NextBatch.
   bool parallel_exec_ = false;
   std::vector<std::vector<Row>> group_outputs_;
   size_t output_pos_ = 0;
@@ -134,7 +134,8 @@ class GApplyOp : public PhysOp {
   std::vector<std::unique_ptr<SpillWriter>> spill_writers_;
   std::vector<std::string> spill_paths_;
 
-  // Native batch path scratch (serial phase 2): one PGQ batch per pull.
+  // Scratch reused across re-opens: the outer batch while partitioning,
+  // then one PGQ batch per pull in serial (and spilled) phase 2.
   RowBatch pgq_batch_;
 };
 

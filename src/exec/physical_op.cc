@@ -32,7 +32,6 @@ void OpRuntimeProfile::AddPhaseNs(const std::string& name, uint64_t ns) {
 
 void OpRuntimeProfile::MergeFrom(const OpRuntimeProfile& other) {
   opens += other.opens;
-  next_calls += other.next_calls;
   batch_calls += other.batch_calls;
   rows_out += other.rows_out;
   batches_out += other.batches_out;
@@ -79,22 +78,6 @@ Status PhysOp::ProfiledOpen(ExecContext* ctx) {
   profile_.open_ns += ProfileNowNs() - t0;
   consumers.pop_back();
   return st;
-}
-
-Result<bool> PhysOp::ProfiledNext(ExecContext* ctx, Row* out) {
-  profile_.next_calls++;
-  std::vector<PhysOp*>& consumers = ctx->profiler_consumers();
-  PhysOp* consumer = consumers.empty() ? nullptr : consumers.back();
-  consumers.push_back(this);
-  const uint64_t t0 = ProfileNowNs();
-  Result<bool> produced = NextImpl(ctx, out);
-  profile_.next_ns += ProfileNowNs() - t0;
-  ctx->profiler_consumers().pop_back();
-  if (produced.ok() && *produced) {
-    profile_.rows_out++;
-    if (consumer != nullptr) consumer->profile_.rows_in++;
-  }
-  return produced;
 }
 
 Result<bool> PhysOp::ProfiledNextBatch(ExecContext* ctx, RowBatch* out) {
@@ -154,22 +137,6 @@ std::string QueryResult::ToString(size_t max_rows) const {
   return out;
 }
 
-Result<bool> PhysOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
-  out->Clear();
-  Row row;
-  while (!out->full()) {
-    // Calls NextImpl directly (not the Next entry point) so the adapter's
-    // rows are not double-counted by the profiler.
-    auto next = NextImpl(ctx, &row);
-    if (!next.ok()) return next.status();
-    if (!*next) break;
-    out->Add(std::move(row));
-  }
-  if (out->empty()) return false;
-  RecordBatch(ctx, out->size());
-  return true;
-}
-
 Result<QueryResult> ExecuteToVector(PhysOp* root, ExecContext* ctx) {
   QueryResult result;
   result.schema = root->output_schema();
@@ -186,24 +153,6 @@ Result<QueryResult> ExecuteToVector(PhysOp* root, ExecContext* ctx) {
     for (Row& row : batch.rows()) {
       result.rows.push_back(std::move(row));
     }
-  }
-  RETURN_NOT_OK(root->Close(ctx));
-  return result;
-}
-
-Result<QueryResult> ExecuteToVectorRows(PhysOp* root, ExecContext* ctx) {
-  QueryResult result;
-  result.schema = root->output_schema();
-  RETURN_NOT_OK(root->Open(ctx));
-  Row row;
-  while (true) {
-    auto next = root->Next(ctx, &row);
-    if (!next.ok()) {
-      (void)root->Close(ctx);
-      return next.status();
-    }
-    if (!*next) break;
-    result.rows.push_back(row);
   }
   RETURN_NOT_OK(root->Close(ctx));
   return result;

@@ -15,7 +15,7 @@ namespace gapply {
 /// Per-operator runtime profile, collected by the non-virtual PhysOp entry
 /// points while `ExecContext::profiling()` is on. All time fields are
 /// *cumulative* (inclusive of children): the scoped timer around OpenImpl /
-/// NextImpl / NextBatchImpl / CloseImpl also covers the child pulls those
+/// NextBatchImpl / CloseImpl also covers the child pulls those
 /// implementations issue. Self time is derived at snapshot time
 /// (profile.h) as cumulative minus the children's cumulative.
 ///
@@ -26,7 +26,6 @@ namespace gapply {
 /// its parent's wall-clock time.
 struct OpRuntimeProfile {
   uint64_t opens = 0;
-  uint64_t next_calls = 0;
   uint64_t batch_calls = 0;
   uint64_t rows_out = 0;
   uint64_t batches_out = 0;
@@ -35,7 +34,7 @@ struct OpRuntimeProfile {
   /// independently of the children's rows_out).
   uint64_t rows_in = 0;
   uint64_t open_ns = 0;
-  uint64_t next_ns = 0;  // Next and NextBatch combined
+  uint64_t next_ns = 0;  // NextBatch
   uint64_t close_ns = 0;
   /// Number of worker-clone profiles folded into this node (0 = executed
   /// in place, serially).
@@ -71,22 +70,17 @@ struct OpRuntimeProfile {
   void MergeFrom(const OpRuntimeProfile& other);
 };
 
-/// \brief Base class for Volcano-style physical operators.
+/// \brief Base class for pull-based physical operators.
 ///
-/// Contract:
+/// Contract — one protocol, Open / NextBatch* / Close:
 ///  - `Open` prepares the operator; it must be callable again after `Close`
 ///    (Apply and GApply re-open their inner subplans once per outer row /
 ///    per group).
-///  - `Next` returns true and fills `*out` when a row is produced, false at
-///    end of stream.
-///  - `NextBatch` is the vectorized form: it clears `*out`, appends rows,
-///    and returns true iff any were appended; false is end of stream. A
-///    non-empty batch may be *partial* (fewer than `out->capacity()` rows)
-///    at any time, and may overshoot the capacity when output comes in
-///    indivisible chunks (see RowBatch). Between one Open/Close pair a
-///    caller must drive an operator through either Next or NextBatch,
-///    never both: native batch implementations buffer child rows that the
-///    row-at-a-time path would not see.
+///  - `NextBatch` clears `*out`, appends rows, and returns true iff any were
+///    appended; false is end of stream, and every later call returns false
+///    too. A non-empty batch may be *partial* (fewer than `out->capacity()`
+///    rows) at any time, and may overshoot the capacity when output comes
+///    in indivisible chunks (see RowBatch). Row-at-a-time is batch size 1.
 ///  - `Close` releases per-execution state.
 class PhysOp {
  public:
@@ -111,17 +105,13 @@ class PhysOp {
   PhysOp(const PhysOp&) = delete;
   PhysOp& operator=(const PhysOp&) = delete;
 
-  /// The four execution entry points are non-virtual: they dispatch to the
+  /// The three execution entry points are non-virtual: they dispatch to the
   /// protected *Impl virtuals, and when `ctx->profiling()` is on they wrap
   /// the call in a scoped timer plus row accounting (see OpRuntimeProfile).
   /// With profiling off the wrapper is a single branch.
   Status Open(ExecContext* ctx) {
     if (!ctx->profiling()) return OpenImpl(ctx);
     return ProfiledOpen(ctx);
-  }
-  Result<bool> Next(ExecContext* ctx, Row* out) {
-    if (!ctx->profiling()) return NextImpl(ctx, out);
-    return ProfiledNext(ctx, out);
   }
   /// Fills `*out` with the next batch of rows; see the class contract.
   Result<bool> NextBatch(ExecContext* ctx, RowBatch* out) {
@@ -175,12 +165,8 @@ class PhysOp {
 
  protected:
   virtual Status OpenImpl(ExecContext* ctx) = 0;
-  virtual Result<bool> NextImpl(ExecContext* ctx, Row* out) = 0;
+  virtual Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) = 0;
   virtual Status CloseImpl(ExecContext* ctx) = 0;
-
-  /// The base implementation adapts `NextImpl` (correct for every
-  /// operator); hot operators override it with native batch paths.
-  virtual Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out);
 
   /// Books a produced batch into the context counters and this operator's
   /// stats. Every NextBatch implementation calls it before returning true.
@@ -197,7 +183,6 @@ class PhysOp {
 
  private:
   Status ProfiledOpen(ExecContext* ctx);
-  Result<bool> ProfiledNext(ExecContext* ctx, Row* out);
   Result<bool> ProfiledNextBatch(ExecContext* ctx, RowBatch* out);
   Status ProfiledClose(ExecContext* ctx);
 
@@ -218,11 +203,6 @@ struct QueryResult {
 /// Runs root->Open / NextBatch* / Close and materializes all output rows.
 /// Batches are sized by `ctx->batch_size()`.
 Result<QueryResult> ExecuteToVector(PhysOp* root, ExecContext* ctx);
-
-/// Row-at-a-time variant driving the root through `Next` — the pre-batch
-/// execution loop, kept as the baseline the vectorized path is validated
-/// and benchmarked against.
-Result<QueryResult> ExecuteToVectorRows(PhysOp* root, ExecContext* ctx);
 
 /// True iff the two row collections are equal as multisets (grouping
 /// equality per value). Used pervasively by tests: the engine promises

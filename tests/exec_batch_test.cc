@@ -1,8 +1,9 @@
-// Differential tests for the vectorized execution layer: every operator
-// with a native NextBatch must produce, for every batch size, exactly what
-// the row-at-a-time Next path produces — the same multiset always, and the
-// same sequence where the operator promises an order (Sort, StreamGroupBy,
-// parallel GApply's bit-for-bit guarantee).
+// Tests for the batch execution layer. Every operator must produce the same
+// rows at every batch size as at batch size 1 (row-at-a-time) — the same
+// multiset always, and the same sequence where the operator promises an
+// order (Sort, StreamGroupBy, parallel GApply's bit-for-bit guarantee).
+// Apply, Exists, NestedLoopJoin and ScalarAgg are also checked against
+// hand-computed rows.
 
 #include <gtest/gtest.h>
 
@@ -34,13 +35,6 @@ using tutil::MakeTable;
 using tutil::RandomGroupedRows;
 using tutil::kDiffBatchSizes;
 
-std::vector<Row> RunRowPath(PhysOp* root) {
-  ExecContext ctx;
-  Result<QueryResult> r = ExecuteToVectorRows(root, &ctx);
-  EXPECT_TRUE(r.ok()) << (r.ok() ? "" : r.status().ToString());
-  return r.ok() ? std::move(r)->rows : std::vector<Row>{};
-}
-
 std::vector<Row> RunBatchPath(PhysOp* root, size_t batch_size,
                               ExecContext::Counters* counters = nullptr) {
   ExecContext ctx;
@@ -53,13 +47,12 @@ std::vector<Row> RunBatchPath(PhysOp* root, size_t batch_size,
 
 using PlanBuilder = std::function<PhysOpPtr()>;
 
-// Executes fresh plans from `build` through both paths and compares. A
-// fresh plan per run keeps operator state strictly per-execution, so the
-// row run can never leak buffered batches into the batch run.
-void ExpectBatchMatchesRows(const PlanBuilder& build,
-                            bool ordered = false) {
-  PhysOpPtr row_plan = build();
-  const std::vector<Row> expected = RunRowPath(row_plan.get());
+// Executes fresh plans from `build` at every batch size and compares each
+// against the batch-size-1 run. A fresh plan per run keeps operator state
+// strictly per-execution, so no run can leak buffered rows into another.
+void ExpectBatchSizesAgree(const PlanBuilder& build, bool ordered = false) {
+  PhysOpPtr anchor_plan = build();
+  const std::vector<Row> expected = RunBatchPath(anchor_plan.get(), 1);
   for (size_t bs : kDiffBatchSizes) {
     PhysOpPtr batch_plan = build();
     const std::vector<Row> got = RunBatchPath(batch_plan.get(), bs);
@@ -87,13 +80,13 @@ class BatchDifferentialTest : public ::testing::Test {
 };
 
 TEST_F(BatchDifferentialTest, TableScan) {
-  ExpectBatchMatchesRows([this] {
+  ExpectBatchSizesAgree([this] {
     return std::make_unique<TableScanOp>(table_.get());
   });
 }
 
 TEST_F(BatchDifferentialTest, Filter) {
-  ExpectBatchMatchesRows([this]() -> PhysOpPtr {
+  ExpectBatchSizesAgree([this]() -> PhysOpPtr {
     auto scan = std::make_unique<TableScanOp>(table_.get());
     const Schema s = scan->output_schema();
     return std::make_unique<FilterOp>(
@@ -102,7 +95,7 @@ TEST_F(BatchDifferentialTest, Filter) {
 }
 
 TEST_F(BatchDifferentialTest, Project) {
-  ExpectBatchMatchesRows([this]() -> PhysOpPtr {
+  ExpectBatchSizesAgree([this]() -> PhysOpPtr {
     auto scan = std::make_unique<TableScanOp>(table_.get());
     const Schema s = scan->output_schema();
     std::vector<ExprPtr> exprs;
@@ -117,7 +110,7 @@ TEST_F(BatchDifferentialTest, Project) {
 }
 
 TEST_F(BatchDifferentialTest, FilterThenProject) {
-  ExpectBatchMatchesRows([this]() -> PhysOpPtr {
+  ExpectBatchSizesAgree([this]() -> PhysOpPtr {
     auto scan = std::make_unique<TableScanOp>(table_.get());
     const Schema s = scan->output_schema();
     auto filter = std::make_unique<FilterOp>(
@@ -132,7 +125,7 @@ TEST_F(BatchDifferentialTest, FilterThenProject) {
 }
 
 TEST_F(BatchDifferentialTest, SortIsOrderPreserving) {
-  ExpectBatchMatchesRows(
+  ExpectBatchSizesAgree(
       [this]() -> PhysOpPtr {
         auto scan = std::make_unique<TableScanOp>(table_.get());
         return std::make_unique<SortOp>(
@@ -143,7 +136,7 @@ TEST_F(BatchDifferentialTest, SortIsOrderPreserving) {
 }
 
 TEST_F(BatchDifferentialTest, HashJoin) {
-  ExpectBatchMatchesRows([this]() -> PhysOpPtr {
+  ExpectBatchSizesAgree([this]() -> PhysOpPtr {
     auto probe = std::make_unique<TableScanOp>(table_.get());
     auto build = std::make_unique<TableScanOp>(dim_.get());
     return std::make_unique<HashJoinOp>(std::move(probe), std::move(build),
@@ -153,7 +146,7 @@ TEST_F(BatchDifferentialTest, HashJoin) {
 }
 
 TEST_F(BatchDifferentialTest, HashJoinWithResidual) {
-  ExpectBatchMatchesRows([this]() -> PhysOpPtr {
+  ExpectBatchSizesAgree([this]() -> PhysOpPtr {
     auto probe = std::make_unique<TableScanOp>(table_.get());
     auto build = std::make_unique<TableScanOp>(dim_.get());
     const Schema joined =
@@ -165,7 +158,7 @@ TEST_F(BatchDifferentialTest, HashJoinWithResidual) {
 }
 
 TEST_F(BatchDifferentialTest, HashGroupBy) {
-  ExpectBatchMatchesRows([this]() -> PhysOpPtr {
+  ExpectBatchSizesAgree([this]() -> PhysOpPtr {
     auto scan = std::make_unique<TableScanOp>(table_.get());
     const Schema s = scan->output_schema();
     std::vector<AggregateDesc> aggs;
@@ -179,7 +172,7 @@ TEST_F(BatchDifferentialTest, HashGroupBy) {
 }
 
 TEST_F(BatchDifferentialTest, StreamGroupByOverSortedInput) {
-  ExpectBatchMatchesRows(
+  ExpectBatchSizesAgree(
       [this]() -> PhysOpPtr {
         auto scan = std::make_unique<TableScanOp>(table_.get());
         const Schema s = scan->output_schema();
@@ -195,7 +188,7 @@ TEST_F(BatchDifferentialTest, StreamGroupByOverSortedInput) {
 }
 
 TEST_F(BatchDifferentialTest, ScalarAgg) {
-  ExpectBatchMatchesRows([this]() -> PhysOpPtr {
+  ExpectBatchSizesAgree([this]() -> PhysOpPtr {
     auto scan = std::make_unique<TableScanOp>(table_.get());
     const Schema s = scan->output_schema();
     std::vector<AggregateDesc> aggs;
@@ -206,7 +199,7 @@ TEST_F(BatchDifferentialTest, ScalarAgg) {
 }
 
 TEST_F(BatchDifferentialTest, Distinct) {
-  ExpectBatchMatchesRows([this]() -> PhysOpPtr {
+  ExpectBatchSizesAgree([this]() -> PhysOpPtr {
     auto scan = std::make_unique<TableScanOp>(table_.get());
     const Schema s = scan->output_schema();
     // Project to (k, v) so duplicates actually occur.
@@ -221,7 +214,7 @@ TEST_F(BatchDifferentialTest, Distinct) {
 }
 
 TEST_F(BatchDifferentialTest, UnionAll) {
-  ExpectBatchMatchesRows([this]() -> PhysOpPtr {
+  ExpectBatchSizesAgree([this]() -> PhysOpPtr {
     std::vector<PhysOpPtr> branches;
     branches.push_back(std::make_unique<TableScanOp>(table_.get()));
     branches.push_back(std::make_unique<TableScanOp>(dim_.get()));
@@ -235,7 +228,7 @@ TEST_F(BatchDifferentialTest, UnionAll) {
 // ---------------------------------------------------------------------------
 // GApply: both partition modes x parallelism {1, 4}, identity / agg /
 // filter PGQs. Parallel output must additionally be bit-for-bit identical
-// between the row and batch drive paths.
+// across batch sizes.
 // ---------------------------------------------------------------------------
 
 PhysOpPtr IdentityPgq(const Schema& gs, const std::string& var) {
@@ -277,8 +270,8 @@ TEST_P(GApplyBatchTest, BatchMatchesRowsForAllPgqShapes) {
                                         std::vector<int>{0}, "g",
                                         pgq(gs, "g"), mode, dop);
     };
-    PhysOpPtr row_plan = build();
-    const std::vector<Row> expected = RunRowPath(row_plan.get());
+    PhysOpPtr anchor_plan = build();
+    const std::vector<Row> expected = RunBatchPath(anchor_plan.get(), 1);
     for (size_t bs : kDiffBatchSizes) {
       PhysOpPtr batch_plan = build();
       const std::vector<Row> got = RunBatchPath(batch_plan.get(), bs);
@@ -287,7 +280,7 @@ TEST_P(GApplyBatchTest, BatchMatchesRowsForAllPgqShapes) {
                                 " batch_size=" + std::to_string(bs);
       if (dop > 1) {
         // The parallel path promises bit-for-bit serial-identical output,
-        // and the batch drive must not disturb that.
+        // and the batch size must not disturb that.
         tutil::ExpectSameSequence(got, expected, label);
       } else {
         tutil::ExpectSameMultiset(got, expected, label);
@@ -305,6 +298,333 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(PartitionModeName(std::get<0>(info.param))) +
              "_dop" + std::to_string(std::get<1>(info.param));
     });
+
+// ---------------------------------------------------------------------------
+// Apply, Exists, NestedLoopJoin and ScalarAgg against hand-computed rows.
+// ---------------------------------------------------------------------------
+
+Row Ints(std::initializer_list<int64_t> values) {
+  Row row;
+  for (int64_t v : values) row.push_back(Value::Int(v));
+  return row;
+}
+
+std::vector<Row> IntRows(std::initializer_list<std::initializer_list<int64_t>>
+                             rows) {
+  std::vector<Row> out;
+  for (const auto& r : rows) out.push_back(Ints(r));
+  return out;
+}
+
+ExprPtr OuterK() {
+  return std::make_unique<CorrelatedColumnRefExpr>(0, 0, TypeId::kInt64,
+                                                   "l.k");
+}
+
+// Pass-through operator that counts Open and Close calls, to check that a
+// parent leaves no child open.
+class OpenCloseCounter : public PhysOp {
+ public:
+  explicit OpenCloseCounter(PhysOpPtr child)
+      : PhysOp(child->output_schema()), child_(std::move(child)) {}
+
+  Status OpenImpl(ExecContext* ctx) override {
+    ++opens;
+    return child_->Open(ctx);
+  }
+  Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) override {
+    return child_->NextBatch(ctx, out);
+  }
+  Status CloseImpl(ExecContext* ctx) override {
+    ++closes;
+    return child_->Close(ctx);
+  }
+  std::string DebugName() const override { return "OpenCloseCounter"; }
+  PhysOpPtr Clone() const override {
+    return std::make_unique<OpenCloseCounter>(child_->Clone());
+  }
+  std::vector<const PhysOp*> children() const override {
+    return {child_.get()};
+  }
+
+  int opens = 0;
+  int closes = 0;
+
+ private:
+  PhysOpPtr child_;
+};
+
+class ApplyBatchTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    l_ = MakeTable("l", Schema({{"k", TypeId::kInt64, "l"}}),
+                   IntRows({{1}, {2}, {3}, {4}, {5}}));
+    r_ = MakeTable("r", rs_,
+                   IntRows({{1, 10}, {1, 11}, {1, 12}, {3, 30}, {4, 40},
+                            {4, 41}, {4, 42}, {4, 43}, {4, 44}, {5, 50},
+                            {5, 51}}));
+  }
+
+  // Scan(r) filtered on r.k = <outer k>.
+  PhysOpPtr CorrelatedInner() {
+    return std::make_unique<FilterOp>(std::make_unique<TableScanOp>(r_.get()),
+                                      Eq(Col(rs_, "k"), OuterK()));
+  }
+
+  const Schema rs_{{{"k", TypeId::kInt64, "r"}, {"v", TypeId::kInt64, "r"}}};
+  std::unique_ptr<Table> l_;
+  std::unique_ptr<Table> r_;
+};
+
+TEST_F(ApplyBatchTest, CorrelatedOuterBatchSpansSeveralInnerOpens) {
+  const std::vector<Row> expected = IntRows(
+      {{1, 1, 10}, {1, 1, 11}, {1, 1, 12}, {3, 3, 30}, {4, 4, 40},
+       {4, 4, 41}, {4, 4, 42}, {4, 4, 43}, {4, 4, 44}, {5, 5, 50},
+       {5, 5, 51}});
+  for (size_t bs : kDiffBatchSizes) {
+    auto outer = std::make_unique<TableScanOp>(l_.get());
+    const TableScanOp* outer_scan = outer.get();
+    ApplyOp apply(std::move(outer), CorrelatedInner());
+    ExecContext::Counters counters;
+    const std::vector<Row> got = RunBatchPath(&apply, bs, &counters);
+    const std::string label = "batch_size=" + std::to_string(bs);
+    tutil::ExpectSameSequence(got, expected, label);
+    EXPECT_EQ(counters.apply_invocations, 5u) << label;
+    // 5 outer rows arrive in ceil(5 / bs) batches, so at batch 3 and 1024
+    // one outer batch feeds several inner opens.
+    EXPECT_EQ(outer_scan->batch_stats().batches, (5 + bs - 1) / bs) << label;
+  }
+}
+
+TEST_F(ApplyBatchTest, CachedInnerReplaysAcrossOuterBatch) {
+  const std::vector<Row> expected = IntRows(
+      {{1, 4, 40}, {1, 4, 41}, {2, 4, 40}, {2, 4, 41}, {3, 4, 40},
+       {3, 4, 41}, {4, 4, 40}, {4, 4, 41}, {5, 4, 40}, {5, 4, 41}});
+  for (size_t bs : kDiffBatchSizes) {
+    // Uncorrelated inner: the two r rows with 40 <= v <= 41.
+    auto inner = std::make_unique<OpenCloseCounter>(std::make_unique<FilterOp>(
+        std::make_unique<TableScanOp>(r_.get()),
+        And(Ge(Col(rs_, "v"), Lit(int64_t{40})),
+            Le(Col(rs_, "v"), Lit(int64_t{41})))));
+    const OpenCloseCounter* counter = inner.get();
+    ApplyOp apply(std::make_unique<TableScanOp>(l_.get()), std::move(inner),
+                  /*cache_uncorrelated_inner=*/true);
+    ExecContext::Counters counters;
+    const std::vector<Row> got = RunBatchPath(&apply, bs, &counters);
+    const std::string label = "batch_size=" + std::to_string(bs);
+    tutil::ExpectSameSequence(got, expected, label);
+    EXPECT_EQ(counters.apply_invocations, 1u) << label;
+    EXPECT_EQ(counter->opens, 1) << label;
+    EXPECT_EQ(counter->closes, 1) << label;
+  }
+}
+
+TEST_F(ApplyBatchTest, InnerErrorMidBatchClosesCleanly) {
+  // 12 / (3 - l.k): fine for k = 1 and 2, division by zero at k = 3.
+  for (size_t bs : kDiffBatchSizes) {
+    const std::string label = "batch_size=" + std::to_string(bs);
+    ExprPtr ratio = Binary(BinaryOp::kDivide, Lit(int64_t{12}),
+                           Binary(BinaryOp::kSubtract, Lit(int64_t{3}),
+                                  OuterK()));
+    auto inner = std::make_unique<OpenCloseCounter>(std::make_unique<FilterOp>(
+        std::make_unique<TableScanOp>(r_.get()),
+        And(Gt(std::move(ratio), Lit(int64_t{0})),
+            Le(Col(rs_, "v"), Lit(int64_t{40})))));
+    const OpenCloseCounter* counter = inner.get();
+    ApplyOp apply(std::make_unique<TableScanOp>(l_.get()), std::move(inner));
+
+    ExecContext ctx;
+    ctx.set_batch_size(bs);
+    ASSERT_TRUE(apply.Open(&ctx).ok()) << label;
+    RowBatch batch(bs);
+    std::vector<Row> got;
+    Status error = Status::OK();
+    while (true) {
+      Result<bool> more = apply.NextBatch(&ctx, &batch);
+      if (!more.ok()) {
+        error = more.status();
+        break;
+      }
+      ASSERT_TRUE(*more) << label << ": stream ended without the error";
+      for (Row& row : batch.rows()) got.push_back(std::move(row));
+    }
+    EXPECT_EQ(error.code(), StatusCode::kInvalidArgument) << label;
+    EXPECT_NE(error.message().find("division by zero"), std::string::npos)
+        << label;
+    // Rows emitted before the error are a prefix of the k = 1, 2 output
+    // (inner rows v <= 40, concatenated after each outer row).
+    std::vector<Row> expected;
+    for (int64_t k : {1, 2}) {
+      for (int64_t v : {10, 11, 12, 30, 40}) {
+        expected.push_back(Ints({k, v < 30 ? 1 : v / 10, v}));
+      }
+    }
+    ASSERT_LE(got.size(), expected.size()) << label;
+    tutil::ExpectSameSequence(
+        got, std::vector<Row>(expected.begin(), expected.begin() + got.size()),
+        label);
+    // The failed inner execution is closed, nothing is left on the
+    // correlated-row stack, and Close succeeds.
+    EXPECT_EQ(counter->opens, 3) << label;
+    EXPECT_EQ(counter->closes, 3) << label;
+    EXPECT_TRUE(ctx.eval()->outer_rows.empty()) << label;
+    EXPECT_TRUE(apply.Close(&ctx).ok()) << label;
+    EXPECT_EQ(counter->closes, 3) << label;
+  }
+}
+
+TEST_F(ApplyBatchTest, ExistsPullsAtMostOneChildRowPerOpen) {
+  for (bool negated : {false, true}) {
+    for (size_t bs : kDiffBatchSizes) {
+      const std::string label = std::string(negated ? "not " : "") +
+                                "exists batch_size=" + std::to_string(bs);
+      PhysOpPtr filter = CorrelatedInner();
+      const PhysOp* child = filter.get();
+      ApplyOp apply(std::make_unique<TableScanOp>(l_.get()),
+                    std::make_unique<ExistsOp>(std::move(filter), negated));
+      ExecContext ctx;
+      ctx.set_batch_size(bs);
+      ctx.set_profiling(true);
+      Result<QueryResult> r = ExecuteToVector(&apply, &ctx);
+      ASSERT_TRUE(r.ok()) << label << ": " << r.status().ToString();
+      tutil::ExpectSameSequence(
+          r->rows, negated ? IntRows({{2}}) : IntRows({{1}, {3}, {4}, {5}}),
+          label);
+      const OpRuntimeProfile& profile = child->runtime_profile();
+      EXPECT_EQ(profile.opens, 5u) << label;
+      // One row for each of k = 1, 3, 4, 5, although k = 4 has five.
+      EXPECT_EQ(profile.rows_out, 4u) << label;
+    }
+  }
+}
+
+TEST(ExistsBatchTest, DirectScanChildStopsAfterOneRow) {
+  Rng rng(3);
+  auto t = MakeTable("t", GroupedSchema(), RandomGroupedRows(&rng, 100, 5));
+  for (size_t bs : kDiffBatchSizes) {
+    auto scan = std::make_unique<TableScanOp>(t.get());
+    const TableScanOp* scan_ptr = scan.get();
+    ExistsOp exists(std::move(scan));
+    ExecContext ctx;
+    ctx.set_batch_size(bs);
+    ctx.set_profiling(true);
+    Result<QueryResult> r = ExecuteToVector(&exists, &ctx);
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ(r->rows.size(), 1u);
+    EXPECT_TRUE(r->rows[0].empty());
+    EXPECT_EQ(scan_ptr->runtime_profile().rows_out, 1u)
+        << "batch_size=" << bs;
+  }
+}
+
+class NestedLoopJoinBatchTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    left_ = MakeTable("a", Schema({{"a", TypeId::kInt64, "a"}}),
+                      IntRows({{1}, {5}, {3}, {7}}));
+    right_ = MakeTable("b", Schema({{"b", TypeId::kInt64, "b"}}),
+                       IntRows({{2}, {4}, {6}}));
+    empty_ = MakeTable("e", Schema({{"b", TypeId::kInt64, "e"}}), {});
+  }
+
+  PhysOpPtr Join(const Table* right, bool with_predicate) {
+    auto l = std::make_unique<TableScanOp>(left_.get());
+    auto r = std::make_unique<TableScanOp>(right);
+    const Schema joined =
+        Schema::Concat(l->output_schema(), r->output_schema());
+    ExprPtr pred =
+        with_predicate ? Lt(Col(joined, 0), Col(joined, 1)) : nullptr;
+    return std::make_unique<NestedLoopJoinOp>(std::move(l), std::move(r),
+                                              std::move(pred));
+  }
+
+  std::unique_ptr<Table> left_;
+  std::unique_ptr<Table> right_;
+  std::unique_ptr<Table> empty_;
+};
+
+TEST_F(NestedLoopJoinBatchTest, PredicateJoin) {
+  const std::vector<Row> expected =
+      IntRows({{1, 2}, {1, 4}, {1, 6}, {5, 6}, {3, 4}, {3, 6}});
+  for (size_t bs : kDiffBatchSizes) {
+    PhysOpPtr join = Join(right_.get(), /*with_predicate=*/true);
+    tutil::ExpectSameSequence(RunBatchPath(join.get(), bs), expected,
+                              "batch_size=" + std::to_string(bs));
+  }
+}
+
+TEST_F(NestedLoopJoinBatchTest, CrossProductResumesMidLeftRow) {
+  for (size_t bs : kDiffBatchSizes) {
+    PhysOpPtr join = Join(right_.get(), /*with_predicate=*/false);
+    const std::vector<Row> got = RunBatchPath(join.get(), bs);
+    const std::string label = "batch_size=" + std::to_string(bs);
+    ASSERT_EQ(got.size(), 12u) << label;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(RowsEqual(got[i], Ints({left_->rows()[i / 3][0].int_val(),
+                                          right_->rows()[i % 3][0].int_val()})))
+          << label << " row " << i;
+    }
+    // The join never overshoots: 12 rows in batches of exactly bs.
+    EXPECT_EQ(join->batch_stats().batches, (12 + bs - 1) / bs) << label;
+  }
+}
+
+TEST_F(NestedLoopJoinBatchTest, EmptyRightSide) {
+  for (bool with_predicate : {false, true}) {
+    for (size_t bs : kDiffBatchSizes) {
+      PhysOpPtr join = Join(empty_.get(), with_predicate);
+      EXPECT_TRUE(RunBatchPath(join.get(), bs).empty())
+          << "batch_size=" << bs;
+    }
+  }
+}
+
+TEST(ScalarAggBatchTest, EmptyInput) {
+  auto t = MakeTable("t", GroupedSchema(), {});
+  for (size_t bs : kDiffBatchSizes) {
+    auto scan = std::make_unique<TableScanOp>(t.get());
+    const Schema s = scan->output_schema();
+    std::vector<AggregateDesc> aggs;
+    aggs.push_back(CountStar("cnt"));
+    aggs.push_back(Sum(Col(s, "v"), "sum_v"));
+    aggs.push_back(Avg(Col(s, "d"), "avg_d"));
+    ScalarAggOp agg(std::move(scan), std::move(aggs));
+    tutil::ExpectSameSequence(
+        RunBatchPath(&agg, bs), {{Value::Int(0), Value::Null(), Value::Null()}},
+        "batch_size=" + std::to_string(bs));
+  }
+}
+
+TEST(ScalarAggBatchTest, ReopenedPerGroupUnderGApply) {
+  auto t = MakeTable("t", GroupedSchema(),
+                     {{Value::Int(1), Value::Int(10), Value::Double(1)},
+                      {Value::Int(2), Value::Int(5), Value::Double(2)},
+                      {Value::Int(1), Value::Int(20), Value::Double(3)},
+                      {Value::Int(3), Value::Int(7), Value::Double(4)},
+                      {Value::Int(3), Value::Null(), Value::Double(5)},
+                      {Value::Int(3), Value::Int(1), Value::Double(6)}});
+  const std::vector<Row> expected = IntRows({{1, 2, 30}, {2, 1, 5}, {3, 3, 8}});
+  for (size_t bs : kDiffBatchSizes) {
+    auto outer = std::make_unique<TableScanOp>(t.get());
+    const Schema gs = outer->output_schema();
+    std::vector<AggregateDesc> aggs;
+    aggs.push_back(CountStar("cnt"));
+    aggs.push_back(Sum(Col(gs, "v"), "sum_v"));
+    auto pgq = std::make_unique<ScalarAggOp>(
+        std::make_unique<GroupScanOp>("g", gs), std::move(aggs));
+    const ScalarAggOp* agg = pgq.get();
+    GApplyOp gapply(std::move(outer), {0}, "g", std::move(pgq),
+                    PartitionMode::kHash);
+    ExecContext::Counters counters;
+    const std::string label = "batch_size=" + std::to_string(bs);
+    tutil::ExpectSameSequence(RunBatchPath(&gapply, bs, &counters), expected,
+                              label);
+    EXPECT_EQ(counters.pgq_executions, 3u) << label;
+    // One single-row batch per group.
+    EXPECT_EQ(agg->batch_stats().batches, 3u) << label;
+    EXPECT_EQ(agg->batch_stats().rows, 3u) << label;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Batch plumbing details.
@@ -325,6 +645,28 @@ TEST(RowBatchTest, CapacityContract) {
   // Zero clamps to 1 so full() can ever become true.
   RowBatch one(0);
   EXPECT_EQ(one.capacity(), 1u);
+}
+
+TEST(RowBatchTest, ClearKeepsSlotStorageForAddCopy) {
+  const Row row = {Value::Int(1), Value::Str("a string longer than SSO")};
+  RowBatch b(4);
+  b.AddCopy(row);
+  b.AddCopy(row);
+  const Value* first_slot = b[0].data();
+  b.Clear();
+  EXPECT_TRUE(b.empty());
+  EXPECT_TRUE(b.rows().empty());
+  b.AddCopy({Value::Int(2), Value::Str("another string longer than SSO")});
+  // The cleared slot's storage is reused, and only live rows are visible.
+  EXPECT_EQ(b[0].data(), first_slot);
+  ASSERT_EQ(b.rows().size(), 1u);
+  EXPECT_EQ(b.rows()[0][0].int_val(), 2);
+  // Add moves into a slot; a capacity change drops the slots.
+  b.Add(Row{Value::Int(3)});
+  EXPECT_EQ(b.size(), 2u);
+  b.Reset(8);
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(b.capacity(), 8u);
 }
 
 TEST(BatchCountersTest, BatchesProducedAndFillTracked) {
@@ -474,12 +816,6 @@ class ColumnarStorageTest : public ::testing::Test {
             got, expected,
             label + " dop=" + std::to_string(dop) +
                 " batch=" + std::to_string(batch));
-        // The row path over the same columnar plan must agree too.
-        if (dop == 1) {
-          PhysOpPtr row_drive = ColumnarPlan(preds);
-          tutil::ExpectSameSequence(RunRowPath(row_drive.get()), expected,
-                                    label + " row-drive");
-        }
       }
     }
   }
@@ -677,12 +1013,12 @@ TEST(ColumnarStorageEdgeTest, PruningInsideExchangeMorselDriver) {
 
 std::vector<Row> DrainScan(TableScanOp* scan, ExecContext* ctx) {
   std::vector<Row> rows;
+  RowBatch batch(ctx->batch_size());
   while (true) {
-    Row row;
-    Result<bool> more = scan->Next(ctx, &row);
+    Result<bool> more = scan->NextBatch(ctx, &batch);
     EXPECT_TRUE(more.ok());
     if (!more.ok() || !*more) break;
-    rows.push_back(std::move(row));
+    for (Row& row : batch.rows()) rows.push_back(std::move(row));
   }
   return rows;
 }

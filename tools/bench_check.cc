@@ -15,6 +15,14 @@
 // and are skipped, as are per-operator profile times in ns (too noisy to
 // gate on; they are carried for inspection, not for gating).
 //
+// Records in an array are matched by identity, not position: a record's
+// label (see RecordLabel) plus whichever of its parameter fields
+// (kIdentityFields) are present. A record dropped from, added to or moved
+// within an array therefore never gets compared against another
+// workload's numbers. Baseline records with no current match are listed
+// as notes, not regressions. If two records of one array share an
+// identity, that array falls back to positional matching with a note.
+//
 // The gate is hardware-aware: when the two files disagree on
 // "hardware_concurrency" the run is on different iron than the baseline,
 // so the ratio threshold is doubled and the mismatch reported.
@@ -32,6 +40,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -56,6 +66,7 @@ struct CheckState {
   int compared = 0;
   int regressions = 0;
   std::vector<std::string> messages;
+  std::vector<std::string> notes;
 };
 
 bool IsTimingKey(const std::string& key) {
@@ -70,15 +81,83 @@ bool IsThroughputKey(const std::string& key) {
                           key.compare(key.size() - 4, 4, "_qps") == 0);
 }
 
-/// Identifying string for a record object, for readable messages.
+/// Identifying string for a record object, for readable messages. "op"
+/// names a node of a per-operator profile tree.
 std::string RecordLabel(const JsonValue& obj) {
-  for (const char* key : {"workload", "label", "name", "query", "mode"}) {
+  for (const char* key : {"workload", "label", "name", "query", "mode", "op"}) {
     const JsonValue* v = obj.Find(key);
     if (v != nullptr && v->type() == JsonValue::Type::kString) {
       return v->string_value();
     }
   }
   return "";
+}
+
+/// Parameter fields that tell apart records sharing a label.
+constexpr const char* kIdentityFields[] = {
+    "batch_size", "dop", "threads", "engine", "partition_mode", "groups"};
+
+/// The identity a record is matched by across baseline and current.
+std::string RecordIdentity(const JsonValue& obj) {
+  std::string id = RecordLabel(obj);
+  for (const char* key : kIdentityFields) {
+    const JsonValue* v = obj.Find(key);
+    if (v != nullptr) id += std::string(";") + key + "=" + v->Dump();
+  }
+  return id;
+}
+
+bool AllObjects(const std::vector<JsonValue>& items) {
+  return std::all_of(items.begin(), items.end(), [](const JsonValue& v) {
+    return v.type() == JsonValue::Type::kObject;
+  });
+}
+
+/// Maps each record of `items` to its identity; false if two share one.
+bool IndexByIdentity(const std::vector<JsonValue>& items,
+                     std::map<std::string, size_t>* index) {
+  for (size_t i = 0; i < items.size(); ++i) {
+    if (!index->emplace(RecordIdentity(items[i]), i).second) return false;
+  }
+  return true;
+}
+
+void Walk(const JsonValue& base, const JsonValue& cur, const std::string& path,
+          CheckState* state);
+
+void WalkArray(const JsonValue& base, const JsonValue& cur,
+               const std::string& path, CheckState* state) {
+  const std::vector<JsonValue>& base_items = base.items();
+  const std::vector<JsonValue>& cur_items = cur.items();
+  std::map<std::string, size_t> base_index;
+  std::map<std::string, size_t> cur_index;
+  bool by_identity = AllObjects(base_items) && AllObjects(cur_items);
+  if (by_identity && !(IndexByIdentity(base_items, &base_index) &&
+                       IndexByIdentity(cur_items, &cur_index))) {
+    state->notes.push_back("  note: " + path +
+                           " has records sharing an identity; matching "
+                           "them by position");
+    by_identity = false;
+  }
+  if (!by_identity) {
+    const size_t n = std::min(base_items.size(), cur_items.size());
+    for (size_t i = 0; i < n; ++i) {
+      Walk(base_items[i], cur_items[i], path + "[" + std::to_string(i) + "]",
+           state);
+    }
+    return;
+  }
+  for (size_t i = 0; i < base_items.size(); ++i) {
+    const std::string id = RecordIdentity(base_items[i]);
+    const auto match = cur_index.find(id);
+    if (match == cur_index.end()) {
+      state->notes.push_back("  note: unmatched baseline record " + path +
+                             "[" + std::to_string(i) + "] {" + id + "}");
+      continue;
+    }
+    Walk(base_items[i], cur_items[match->second],
+         path + "[" + std::to_string(i) + "]", state);
+  }
 }
 
 void Walk(const JsonValue& base, const JsonValue& cur, const std::string& path,
@@ -97,11 +176,7 @@ void Walk(const JsonValue& base, const JsonValue& cur, const std::string& path,
   }
   if (base.type() == JsonValue::Type::kArray &&
       cur.type() == JsonValue::Type::kArray) {
-    const size_t n = std::min(base.items().size(), cur.items().size());
-    for (size_t i = 0; i < n; ++i) {
-      Walk(base.items()[i], cur.items()[i],
-           path + "[" + std::to_string(i) + "]", state);
-    }
+    WalkArray(base, cur, path, state);
     return;
   }
   if (!base.is_number() || !cur.is_number()) return;
@@ -200,6 +275,9 @@ int CheckFile(const Options& opts, const std::string& name) {
               state.regressions == 0 ? "OK" : "REGRESSED");
   for (const std::string& msg : state.messages) {
     std::printf("%s\n", msg.c_str());
+  }
+  for (const std::string& note : state.notes) {
+    std::printf("%s\n", note.c_str());
   }
   return state.regressions == 0 ? 0 : 1;
 }
