@@ -196,7 +196,6 @@ Result<PgqInfo> Analyze(const LogicalOp& node, const std::string& var,
       ExprProvenance(sel.predicate(), info.provenance, *outer_stack,
                      &cond_prov);
       info.eval_columns.insert(cond_prov.begin(), cond_prov.end());
-      info.used_columns.insert(cond_prov.begin(), cond_prov.end());
       // Covering range: AND the condition in only when the subtree has no
       // apply/groupby/aggregate and the condition is expressible over group
       // columns (§4.1).
@@ -220,7 +219,6 @@ Result<PgqInfo> Analyze(const LogicalOp& node, const std::string& var,
       for (const ExprPtr& e : proj.exprs()) {
         std::set<int> p;
         ExprProvenance(*e, info.provenance, *outer_stack, &p);
-        info.used_columns.insert(p.begin(), p.end());
         prov.push_back(std::move(p));
         if (e->kind() == ExprKind::kColumnRef) {
           const int idx = static_cast<const ColumnRefExpr&>(*e).index();
@@ -240,7 +238,6 @@ Result<PgqInfo> Analyze(const LogicalOp& node, const std::string& var,
       // source columns are needed for evaluation, not just re-attachable.
       for (const std::set<int>& p : info.provenance) {
         info.eval_columns.insert(p.begin(), p.end());
-        info.used_columns.insert(p.begin(), p.end());
       }
       return info;
     }
@@ -252,7 +249,6 @@ Result<PgqInfo> Analyze(const LogicalOp& node, const std::string& var,
         const std::set<int>& p =
             info.provenance[static_cast<size_t>(k.column)];
         info.eval_columns.insert(p.begin(), p.end());
-        info.used_columns.insert(p.begin(), p.end());
       }
       return info;
     }
@@ -264,12 +260,10 @@ Result<PgqInfo> Analyze(const LogicalOp& node, const std::string& var,
       info.empty_on_empty = child.empty_on_empty;
       info.covering_range = std::move(child.covering_range);
       info.eval_columns = std::move(child.eval_columns);
-      info.used_columns = std::move(child.used_columns);
       info.blocking = true;
       for (int k : gb.keys()) {
         const std::set<int>& p = child.provenance[static_cast<size_t>(k)];
         info.eval_columns.insert(p.begin(), p.end());
-        info.used_columns.insert(p.begin(), p.end());
         info.pure_source.push_back(
             child.pure_source[static_cast<size_t>(k)]);
         info.provenance.push_back(p);
@@ -280,7 +274,6 @@ Result<PgqInfo> Analyze(const LogicalOp& node, const std::string& var,
           ExprProvenance(*a.arg, child.provenance, *outer_stack, &p);
         }
         info.eval_columns.insert(p.begin(), p.end());
-        info.used_columns.insert(p.begin(), p.end());
         info.pure_source.push_back(-1);
         info.provenance.push_back(std::move(p));
       }
@@ -294,7 +287,6 @@ Result<PgqInfo> Analyze(const LogicalOp& node, const std::string& var,
       info.empty_on_empty = false;  // aggregates emit a row on empty input
       info.covering_range = std::move(child.covering_range);
       info.eval_columns = std::move(child.eval_columns);
-      info.used_columns = std::move(child.used_columns);
       info.blocking = true;
       for (const AggregateDesc& a : agg.aggs()) {
         std::set<int> p;
@@ -302,7 +294,6 @@ Result<PgqInfo> Analyze(const LogicalOp& node, const std::string& var,
           ExprProvenance(*a.arg, child.provenance, *outer_stack, &p);
         }
         info.eval_columns.insert(p.begin(), p.end());
-        info.used_columns.insert(p.begin(), p.end());
         info.pure_source.push_back(-1);
         info.provenance.push_back(std::move(p));
       }
@@ -315,7 +306,6 @@ Result<PgqInfo> Analyze(const LogicalOp& node, const std::string& var,
       info.empty_on_empty = child.empty_on_empty;
       info.covering_range = std::move(child.covering_range);
       info.eval_columns = std::move(child.eval_columns);
-      info.used_columns = std::move(child.used_columns);
       info.blocking = child.blocking;
       return info;  // null schema: no output columns
     }
@@ -337,9 +327,6 @@ Result<PgqInfo> Analyze(const LogicalOp& node, const std::string& var,
       info.eval_columns = outer.eval_columns;
       info.eval_columns.insert(inner.eval_columns.begin(),
                                inner.eval_columns.end());
-      info.used_columns = outer.used_columns;
-      info.used_columns.insert(inner.used_columns.begin(),
-                               inner.used_columns.end());
       info.blocking = true;
       info.pure_source = outer.pure_source;
       info.pure_source.insert(info.pure_source.end(),
@@ -364,8 +351,6 @@ Result<PgqInfo> Analyze(const LogicalOp& node, const std::string& var,
                                        std::move(child.covering_range));
         info.eval_columns.insert(child.eval_columns.begin(),
                                  child.eval_columns.end());
-        info.used_columns.insert(child.used_columns.begin(),
-                                 child.used_columns.end());
         info.blocking = info.blocking || child.blocking;
         if (first) {
           info.pure_source = child.pure_source;
@@ -402,7 +387,6 @@ Result<PgqInfo> Analyze(const LogicalOp& node, const std::string& var,
       info.empty_on_empty = outer.empty_on_empty;
       info.covering_range = std::move(outer.covering_range);
       info.eval_columns = outer.eval_columns;
-      info.used_columns = outer.used_columns;
       info.blocking = true;
       auto translate = [&outer](const std::set<int>& nested_cols,
                                 std::set<int>* out) {
@@ -412,9 +396,10 @@ Result<PgqInfo> Analyze(const LogicalOp& node, const std::string& var,
         }
       };
       translate(nested.eval_columns, &info.eval_columns);
-      translate(nested.used_columns, &info.used_columns);
-      // Output: grouping columns then nested PGQ output.
+      // Output: grouping columns then nested PGQ output. Partitioning reads
+      // the nested grouping columns, so they are evaluation inputs too.
       for (int g : ga.grouping_columns()) {
+        translate({g}, &info.eval_columns);
         info.pure_source.push_back(outer.pure_source[static_cast<size_t>(g)]);
         info.provenance.push_back(outer.provenance[static_cast<size_t>(g)]);
       }
@@ -439,12 +424,7 @@ Result<PgqInfo> Analyze(const LogicalOp& node, const std::string& var,
 Result<PgqInfo> AnalyzePgq(const LogicalOp& pgq, const std::string& var,
                            int group_width) {
   std::vector<const PgqInfo*> outer_stack;
-  ASSIGN_OR_RETURN(PgqInfo info, Analyze(pgq, var, group_width, &outer_stack));
-  // Pass-through output columns are "used" (they flow out of the PGQ).
-  for (const std::set<int>& p : info.provenance) {
-    info.used_columns.insert(p.begin(), p.end());
-  }
-  return info;
+  return Analyze(pgq, var, group_width, &outer_stack);
 }
 
 // ---------------------------------------------------------------------------
@@ -795,8 +775,8 @@ Result<NodeRemap> Remap(const LogicalOp& node, RemapEnv* env,
       RemapEnv nested_env = *env;
       const Schema& nested_schema = outer.plan->output_schema();
       nested_env.vars[ga.var()] = {&nested_schema, &outer.mapping};
-      ASSIGN_OR_RETURN(NodeRemap pgq, Remap(*ga.pgq(), &nested_env,
-                                            /*allow_drop=*/false));
+      ASSIGN_OR_RETURN(NodeRemap pgq,
+                       Remap(*ga.pgq(), &nested_env, allow_drop));
       if (!NoDrops(pgq.mapping)) {
         return Status::InvalidArgument(
             "nested GApply per-group query would lose columns");

@@ -30,10 +30,6 @@ struct PgqInfo {
   /// not pass-through projections (those can be re-attached by later joins).
   std::set<int> eval_columns;
 
-  /// Group-schema columns consumed anywhere, including pass-through
-  /// projection outputs. Drives the projection-before-GApply rule.
-  std::set<int> used_columns;
-
   /// Per output column: the group-schema column it is a pure pass-through
   /// of, or -1 for computed/aggregated columns.
   std::vector<int> pure_source;

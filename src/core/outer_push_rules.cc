@@ -86,7 +86,14 @@ Result<bool> ProjectionBeforeGApplyRule::Apply(LogicalOpPtr* node,
   ASSIGN_OR_RETURN(PgqInfo info,
                    AnalyzePgq(*gapply->pgq(), gapply->var(), width));
 
-  std::set<int> needed(info.used_columns.begin(), info.used_columns.end());
+  // Demand-driven: a column is needed if the PGQ evaluates it (§4.3's
+  // gp-eval set), if it flows out of the PGQ's root, or if GApply groups on
+  // it. Projections that only pass an unneeded column through are dropped
+  // by RemapPgq below.
+  std::set<int> needed = info.eval_columns;
+  for (const std::set<int>& p : info.provenance) {
+    needed.insert(p.begin(), p.end());
+  }
   for (int g : gapply->grouping_columns()) needed.insert(g);
   if (static_cast<int>(needed.size()) >= width) return false;  // no pruning
 
@@ -105,11 +112,20 @@ Result<bool> ProjectionBeforeGApplyRule::Apply(LogicalOpPtr* node,
     pruned.AddColumn(outer_schema.column(static_cast<size_t>(c)));
   }
 
-  ASSIGN_OR_RETURN(
-      RemappedPgq remapped,
+  // InvalidArgument means the PGQ cannot lose the columns here (a Distinct,
+  // union branches dropping differently, a computed expression over a pruned
+  // column): the rule stands down.
+  Result<RemappedPgq> remapped_r =
       RemapPgq(*gapply->pgq(), gapply->var(), pruned, old_to_new,
-               /*allow_dropping_passthrough=*/false));
-  // `used_columns` covers every root output's sources, so the PGQ output
+               /*allow_dropping_passthrough=*/true);
+  if (!remapped_r.ok()) {
+    if (remapped_r.status().code() == StatusCode::kInvalidArgument) {
+      return false;
+    }
+    return remapped_r.status();
+  }
+  RemappedPgq remapped = std::move(remapped_r).value();
+  // The needed set covers every root output's sources, so the PGQ output
   // must be unchanged.
   for (int m : remapped.output_mapping) {
     if (m < 0) {

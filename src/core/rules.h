@@ -22,9 +22,10 @@ class PushProjectIntoPgqRule : public Rule {
   Result<bool> Apply(LogicalOpPtr* node, OptimizerContext* ctx) override;
 };
 
-/// Placing Projections Before GApply (§4.1): only grouping columns and
-/// columns referenced somewhere in the PGQ need flow into GApply; prune the
-/// rest with a projection on the outer query.
+/// Placing Projections Before GApply (§4.1): only grouping columns and the
+/// columns the PGQ evaluates or returns need flow into GApply; prune the
+/// rest with a projection on the outer query and drop the PGQ projection
+/// outputs that only passed a pruned column through.
 class ProjectionBeforeGApplyRule : public Rule {
  public:
   const char* name() const override { return "ProjectionBeforeGApply"; }

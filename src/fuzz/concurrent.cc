@@ -12,6 +12,13 @@ namespace gapply::fuzz {
 
 namespace {
 
+/// A prepared-statement name from the shared pool p0..p2.
+std::string StatementName(Rng* rng) {
+  std::string name = "p";
+  name += std::to_string(rng->UniformInt(0, 2));
+  return name;
+}
+
 /// Derives one session's statement schedule from the dataset + a seeded
 /// stream. Prepared-statement names are drawn from a small shared pool so
 /// schedules exercise duplicate PREPAREs, EXECUTE-before-PREPARE, and
@@ -30,15 +37,15 @@ std::vector<std::string> GenerateSchedule(const FuzzDataset& dataset,
       schedule.push_back(std::move(q.sql));
     } else if (roll < 55) {
       GeneratedQuery q = GenerateQuery(dataset, rng);
-      const std::string name = "p" + std::to_string(rng->UniformInt(0, 2));
+      const std::string name = StatementName(rng);
       features->push_back("concurrent-prepare");
       schedule.push_back("prepare " + name + " as " + q.sql);
     } else if (roll < 75) {
-      const std::string name = "p" + std::to_string(rng->UniformInt(0, 2));
+      const std::string name = StatementName(rng);
       features->push_back("concurrent-execute");
       schedule.push_back("execute " + name);
     } else if (roll < 80) {
-      const std::string name = "p" + std::to_string(rng->UniformInt(0, 2));
+      const std::string name = StatementName(rng);
       features->push_back("concurrent-deallocate");
       schedule.push_back("deallocate " + name);
     } else if (roll < 85) {

@@ -238,6 +238,19 @@ class QueryGen {
     return kCmps[rng_->UniformInt(0, 5)];
   }
 
+  /// The comparison that holds exactly where `op` is false on non-NULLs.
+  static BinaryOp Complement(BinaryOp op) {
+    switch (op) {
+      case BinaryOp::kEq: return BinaryOp::kNe;
+      case BinaryOp::kNe: return BinaryOp::kEq;
+      case BinaryOp::kLt: return BinaryOp::kGe;
+      case BinaryOp::kLe: return BinaryOp::kGt;
+      case BinaryOp::kGt: return BinaryOp::kLe;
+      case BinaryOp::kGe: return BinaryOp::kLt;
+      default: return op;
+    }
+  }
+
   SqlExprPtr PredAtom(const Scope& scope) {
     const FuzzColumn* col = Pick(scope);
     const int roll = static_cast<int>(rng_->UniformInt(0, 9));
@@ -403,6 +416,7 @@ class QueryGen {
       if (roll < 29) return GenPgqAggExists(var, scope);
       if (roll < 38) return GenPgqUnion(var, scope);
       if (roll < 43 && depth <= 1) return GenPgqNestedGApply(var, scope, depth);
+      if (roll >= 50 && roll < 57) return GenPgqCountSubquery(var, scope);
     }
     if (roll < 60) return GenPgqPassthrough(var, scope);
     if (roll < 80) return GenPgqScalarAgg(var, scope);
@@ -489,6 +503,37 @@ class QueryGen {
                         ? std::move(cmp)
                         : Bin(BinaryOp::kAnd, std::move(g.stmt->where),
                               std::move(cmp));
+    return g;
+  }
+
+  /// Fig. 8 Q2's shape: `select AGG from var where NumExpr CMP (select agg
+  /// from var)`, usually count(*), sometimes unioned with the complementary
+  /// comparison. The aggregate reads few group columns, so
+  /// projection-before-GApply prunes the rest by demand.
+  GenSelect GenPgqCountSubquery(const std::string& var, const Scope& scope) {
+    Tag("pgq-count-subquery");
+    GenSelect g;
+    g.stmt = std::make_unique<SelectStmt>();
+    g.stmt->from = FromTables({var});
+    std::string alias = FreshAlias();
+    g.stmt->items.push_back(
+        {rng_->Bernoulli(0.6) ? Agg("count", nullptr, /*star=*/true, false)
+                              : AggCall(scope),
+         alias});
+    g.out_names.push_back(alias);
+    auto sub = std::make_unique<SelectStmt>();
+    sub->from = FromTables({var});
+    sub->items.push_back({AggCall(scope), FreshAlias()});
+    if (rng_->Bernoulli(0.35)) sub->where = Pred(scope);
+    g.stmt->where = Bin(Cmp(), NumExpr(scope),
+                        Subquery(Wrap(std::move(sub)), false, false));
+    if (rng_->Bernoulli(0.5)) {
+      std::unique_ptr<SelectStmt> other = CloneSelect(*g.stmt);
+      if (other != nullptr) {
+        other->where->binary_op = Complement(other->where->binary_op);
+        g.extra_branch = std::move(other);
+      }
+    }
     return g;
   }
 

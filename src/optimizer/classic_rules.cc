@@ -6,6 +6,29 @@
 
 namespace gapply {
 
+namespace {
+
+bool IsIdentityProject(const LogicalProject& project) {
+  const Schema& in = project.child(0)->output_schema();
+  const Schema& out = project.output_schema();
+  if (out.num_columns() != in.num_columns()) return false;
+  for (size_t i = 0; i < project.exprs().size(); ++i) {
+    const Expr& e = *project.exprs()[i];
+    if (e.kind() != ExprKind::kColumnRef ||
+        static_cast<const ColumnRefExpr&>(e).index() != static_cast<int>(i)) {
+      return false;
+    }
+    const Column& a = in.column(i);
+    const Column& b = out.column(i);
+    if (a.name != b.name || a.type != b.type || a.qualifier != b.qualifier) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 Result<bool> MergeSelectsRule::Apply(LogicalOpPtr* node, OptimizerContext*) {
   if ((*node)->type() != LogicalOpType::kSelect) return false;
   auto* outer = static_cast<LogicalSelect*>(node->get());
@@ -102,6 +125,35 @@ Result<bool> PushSelectBelowProjectRule::Apply(LogicalOpPtr* node,
   for (const ExprPtr& e : p->exprs()) exprs.push_back(e->Clone());
   *node = std::make_unique<LogicalProject>(std::move(filtered),
                                            std::move(exprs), p->names());
+  return true;
+}
+
+Result<bool> MergeProjectsRule::Apply(LogicalOpPtr* node, OptimizerContext*) {
+  if ((*node)->type() != LogicalOpType::kProject) return false;
+  auto* outer = static_cast<LogicalProject*>(node->get());
+  if (IsIdentityProject(*outer)) {
+    *node = outer->TakeChild(0);
+    return true;
+  }
+  if (outer->child(0)->type() != LogicalOpType::kProject) return false;
+  const auto* inner = static_cast<const LogicalProject*>(outer->child(0));
+
+  std::vector<ExprPtr> exprs;
+  std::vector<int> uses(inner->exprs().size(), 0);
+  for (const ExprPtr& e : outer->exprs()) {
+    if (e->kind() != ExprKind::kColumnRef) return false;
+    const auto idx =
+        static_cast<size_t>(static_cast<const ColumnRefExpr&>(*e).index());
+    const Expr& src = *inner->exprs()[idx];
+    if (++uses[idx] > 1 && src.kind() != ExprKind::kColumnRef &&
+        src.kind() != ExprKind::kLiteral) {
+      return false;  // would evaluate a computed expression twice
+    }
+    exprs.push_back(src.Clone());
+  }
+  LogicalOpPtr inner_owned = outer->TakeChild(0);
+  *node = std::make_unique<LogicalProject>(inner_owned->TakeChild(0),
+                                           std::move(exprs), outer->names());
   return true;
 }
 

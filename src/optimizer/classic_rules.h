@@ -31,6 +31,16 @@ class PushSelectBelowProjectRule : public Rule {
   Result<bool> Apply(LogicalOpPtr* node, OptimizerContext* ctx) override;
 };
 
+/// Project(column refs) over Project(exprs) → one Project, unless that
+/// would evaluate a computed inner expression twice. A Project that
+/// reproduces its child's schema column for column (same order, names and
+/// qualifiers) is dropped.
+class MergeProjectsRule : public Rule {
+ public:
+  const char* name() const override { return "MergeProjects"; }
+  Result<bool> Apply(LogicalOpPtr* node, OptimizerContext* ctx) override;
+};
+
 }  // namespace gapply
 
 #endif  // GAPPLY_OPTIMIZER_CLASSIC_RULES_H_

@@ -51,6 +51,7 @@ Optimizer::Optimizer(const Catalog* catalog, const StatsManager* stats,
     rules_.push_back(std::make_unique<MergeSelectsRule>());
     rules_.push_back(std::make_unique<PushSelectBelowProjectRule>());
     rules_.push_back(std::make_unique<PushSelectBelowJoinRule>());
+    rules_.push_back(std::make_unique<MergeProjectsRule>());
   }
   if (options.push_select_into_pgq) {
     rules_.push_back(std::make_unique<core::PushSelectIntoPgqRule>());

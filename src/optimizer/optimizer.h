@@ -66,7 +66,7 @@ class Optimizer {
     bool group_selection_aggregate = true;
     // §4.3: pushing GApply below joins.
     bool invariant_grouping = true;
-    // Classic relational rewrites (σ pushdown below joins etc.).
+    // Classic relational rewrites (σ pushdown below joins, π merging).
     bool classic_pushdown = true;
     // Cost-gate the two group-selection rules.
     bool cost_gate = true;
@@ -86,7 +86,7 @@ class Optimizer {
     static Options AllDisabled();
 
     /// One independently toggleable rule set: display name + the Options
-    /// member that enables it. ClassicPushdown covers the three classic
+    /// member that enables it. ClassicPushdown covers the four classic
     /// rewrites behind the single `classic_pushdown` flag; every other
     /// entry is one paper rule.
     struct Toggle {

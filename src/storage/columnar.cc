@@ -126,11 +126,15 @@ Value ColumnVector::GetValue(size_t i) const {
 }
 
 std::string ScanPredicate::ToString(const Schema& schema) const {
-  std::string lit = literal.type() == TypeId::kString
-                        ? "'" + literal.ToString() + "'"
-                        : literal.ToString();
-  return schema.column(static_cast<size_t>(column)).name + " " +
-         CmpOpSpelling(op) + " " + lit;
+  std::string out = schema.column(static_cast<size_t>(column)).name;
+  out += " ";
+  out += CmpOpSpelling(op);
+  out += " ";
+  const bool quoted = literal.type() == TypeId::kString;
+  if (quoted) out += "'";
+  out += literal.ToString();
+  if (quoted) out += "'";
+  return out;
 }
 
 ColumnarTable::ColumnarTable(const Schema& schema) {

@@ -5,8 +5,11 @@ namespace gapply::xml {
 namespace {
 
 std::string LiteralSql(const Value& v) {
-  if (v.type() == TypeId::kString) return "'" + v.ToString() + "'";
-  return v.ToString();
+  if (v.type() != TypeId::kString) return v.ToString();
+  std::string out = "'";
+  out += v.ToString();
+  out += "'";
+  return out;
 }
 
 std::string AggSql(AggKind kind, const std::string& column) {
@@ -27,27 +30,10 @@ std::string AggSql(AggKind kind, const std::string& column) {
   return "?";
 }
 
-// Output slot layout across the return items (each branch NULL-pads the
-// other items' slots, the paper's outer-union column discipline).
-struct SlotLayout {
-  std::vector<int> offset;  // per item
-  int total = 0;
-};
-
-SlotLayout LayoutSlots(const FlwrQuery& query) {
-  SlotLayout layout;
-  for (const FlwrReturnItem& item : query.ret) {
-    layout.offset.push_back(layout.total);
-    layout.total += item.kind == FlwrReturnItem::Kind::kChildColumns
-                        ? static_cast<int>(item.columns.size())
-                        : 1;
-  }
-  return layout;
-}
-
-// Select-list for item `i`: NULLs everywhere except the item's own slots.
-std::string PaddedSelectList(const FlwrQuery& query, const SlotLayout& layout,
-                             size_t item_index,
+// Select-list for item `i`: NULLs everywhere except the item's own slots
+// (each branch NULL-pads the other items' slots, the paper's outer-union
+// column discipline).
+std::string PaddedSelectList(const FlwrQuery& query, size_t item_index,
                              const std::string& own_slots) {
   std::string out;
   int emitted = 0;
@@ -123,7 +109,6 @@ Result<std::string> TranslateToGApplySql(const FlwrQuery& query,
   }
 
   // Mixed Return items → one union-all branch per item.
-  const SlotLayout layout = LayoutSlots(query);
   std::vector<std::string> branches;
   for (size_t i = 0; i < query.ret.size(); ++i) {
     const FlwrReturnItem& item = query.ret[i];
@@ -143,7 +128,7 @@ Result<std::string> TranslateToGApplySql(const FlwrQuery& query,
                        AggSql(item.agg, item.agg_column) + " from g)";
         break;
     }
-    branches.push_back("select " + PaddedSelectList(query, layout, i, own) +
+    branches.push_back("select " + PaddedSelectList(query, i, own) +
                        " from g" + branch_where);
   }
   return "select gapply(" + Join(branches, " union all ") + ")" + tail;
@@ -211,7 +196,6 @@ Result<std::string> TranslateToOuterUnionSql(const FlwrQuery& query,
            " order by " + view.parent_key;
   }
 
-  const SlotLayout layout = LayoutSlots(query);
   std::vector<std::string> branches;
   for (size_t i = 0; i < query.ret.size(); ++i) {
     const FlwrReturnItem& item = query.ret[i];
@@ -221,13 +205,13 @@ Result<std::string> TranslateToOuterUnionSql(const FlwrQuery& query,
       case FlwrReturnItem::Kind::kChildColumns:
         own = Join(item.columns, ", ");
         branch = "select " + view.parent_key + ", " +
-                 PaddedSelectList(query, layout, i, own) + " from " +
+                 PaddedSelectList(query, i, own) + " from " +
                  view.child_from + with_where("");
         break;
       case FlwrReturnItem::Kind::kAggregate:
         own = AggSql(item.agg, item.agg_column);
         branch = "select " + view.parent_key + ", " +
-                 PaddedSelectList(query, layout, i, own) + " from " +
+                 PaddedSelectList(query, i, own) + " from " +
                  view.child_from + with_where("") + " group by " +
                  view.parent_key;
         break;
@@ -244,7 +228,7 @@ Result<std::string> TranslateToOuterUnionSql(const FlwrQuery& query,
             AggSql(item.agg, item.agg_column) + " from " + view.child_from +
             with_where(view.parent_key + " = x0." + view.parent_key) + ")";
         branch = "select " + view.parent_key + ", " +
-                 PaddedSelectList(query, layout, i, own) + " from " +
+                 PaddedSelectList(query, i, own) + " from " +
                  aliased_from("x0") + with_where(corr) + " group by " +
                  view.parent_key;
         break;

@@ -38,8 +38,9 @@ TEST_F(AnalysesTest, IdentityScanIsEmptyOnEmptyWithTrueRange) {
   EXPECT_TRUE(info.empty_on_empty);
   EXPECT_EQ(info.covering_range, nullptr);  // TRUE
   EXPECT_TRUE(info.eval_columns.empty());
-  // Identity output: all columns flow out → all used.
-  EXPECT_EQ(info.used_columns.size(), 3u);
+  // Identity output: every column flows out as itself.
+  EXPECT_EQ(info.provenance,
+            (std::vector<std::set<int>>{{0}, {1}, {2}}));
   EXPECT_EQ(info.pure_source, (std::vector<int>{0, 1, 2}));
 }
 
@@ -146,9 +147,9 @@ TEST_F(AnalysesTest, ProjectionTracksPurePassThroughAndUsedColumns) {
   // k is pure pass-through of group column 0; d2 is computed.
   EXPECT_EQ(info.pure_source, (std::vector<int>{0, -1}));
   // Projected columns are not gp-eval (§4.3: they can be re-attached
-  // later), but they are "used".
+  // later); they are used through the outputs' provenance.
   EXPECT_TRUE(info.eval_columns.empty());
-  EXPECT_EQ(info.used_columns, (std::set<int>{0, 2}));
+  EXPECT_EQ(info.provenance, (std::vector<std::set<int>>{{0}, {2}}));
 }
 
 TEST_F(AnalysesTest, DistinctForcesItsColumnsIntoEval) {
@@ -242,6 +243,61 @@ TEST_F(AnalysesTest, RemapPgqRefusesDroppingUnderDistinct) {
   auto remapped = RemapPgq(*pgq, "g", pruned, {0, -1, 1},
                            /*allow_dropping_passthrough=*/true);
   EXPECT_FALSE(remapped.ok());
+}
+
+TEST_F(AnalysesTest, NestedGApplyGroupingColumnsAreEval) {
+  // Nested GApply on v whose PGQ sums d: partitioning reads v, the PGQ
+  // reads d, and k is read by nothing.
+  LogicalOpPtr pgq = Pgq(PlanBuilder::GroupScan("g", gs_).GApply(
+      {"v"}, "h",
+      PlanBuilder::GroupScan("h", gs_).ScalarAgg(
+          {{AggKind::kSum, "d", "s", false}})));
+  PgqInfo info = Analyze(*pgq);
+  EXPECT_EQ(info.eval_columns, (std::set<int>{1, 2}));
+}
+
+TEST_F(AnalysesTest, RemapPgqDropsPassthroughUnderCountStar) {
+  // Fig. 8 Q2's shape: count(*) over a projection that drops the scalar
+  // subquery's appended average. The projection passes v through, but
+  // nothing above it reads v, so pruning v from the group drops it there.
+  LogicalOpPtr pgq = Pgq(
+      PlanBuilder::GroupScan("g", gs_)
+          .Apply(PlanBuilder::GroupScan("g", gs_).ScalarAgg(
+              {{AggKind::kAvg, "d", "avgd", false}}))
+          .Select([](const Schema& s) { return Ge(Col(s, "d"), Col(s, "avgd")); })
+          .Project({"k", "v", "d"})
+          .ScalarAgg({{AggKind::kCountStar, "", "cnt", false}}));
+  PgqInfo info = Analyze(*pgq);
+  EXPECT_EQ(info.eval_columns, (std::set<int>{2}));
+
+  Schema pruned({{"k", TypeId::kInt64, "t"}, {"d", TypeId::kDouble, "t"}});
+  auto strict = RemapPgq(*pgq, "g", pruned, {0, -1, 1},
+                         /*allow_dropping_passthrough=*/false);
+  EXPECT_EQ(strict.status().code(), StatusCode::kInvalidArgument);
+  auto remapped = RemapPgq(*pgq, "g", pruned, {0, -1, 1},
+                           /*allow_dropping_passthrough=*/true);
+  ASSERT_TRUE(remapped.ok()) << remapped.status().ToString();
+  EXPECT_EQ(remapped->output_mapping, (std::vector<int>{0}));
+  const LogicalOp* project = remapped->plan->child(0);
+  ASSERT_EQ(project->type(), LogicalOpType::kProject);
+  EXPECT_EQ(project->output_schema().num_columns(), 2u);
+
+  Rng rng(12);
+  auto rows3 = tutil::RandomGroupedRows(&rng, 80, 5);
+  std::vector<Row> rows2;
+  for (const Row& r : rows3) rows2.push_back({r[0], r[2]});
+  LoweringOptions opts;
+  ASSIGN_OR_FAIL(PhysOpPtr p3, LowerPlan(*pgq, opts));
+  ASSIGN_OR_FAIL(PhysOpPtr p2, LowerPlan(*remapped->plan, opts));
+  ExecContext ctx;
+  ctx.BindGroup("g", &gs_, &rows3);
+  auto r3 = ExecuteToVector(p3.get(), &ctx);
+  ASSERT_TRUE(r3.ok());
+  ASSERT_TRUE(ctx.UnbindGroup("g").ok());
+  ctx.BindGroup("g", &pruned, &rows2);
+  auto r2 = ExecuteToVector(p2.get(), &ctx);
+  ASSERT_TRUE(r2.ok());
+  EXPECT_TRUE(SameRowMultiset(r3->rows, r2->rows));
 }
 
 }  // namespace

@@ -165,6 +165,308 @@ TEST_F(RuleTest, ProjectionBeforeGApplyPrunesOuterColumns) {
   EXPECT_EQ(ga->outer()->type(), LogicalOpType::kProject);
 }
 
+// Widest operator output anywhere in `op`, descending into nested PGQs.
+size_t MaxWidth(const LogicalOp& op) {
+  size_t w = op.output_schema().num_columns();
+  for (size_t i = 0; i < op.num_children(); ++i) {
+    w = std::max(w, MaxWidth(*op.child(i)));
+  }
+  if (op.type() == LogicalOpType::kGApply) {
+    w = std::max(w, MaxWidth(*static_cast<const LogicalGApply&>(op).pgq()));
+  }
+  return w;
+}
+
+// Names of `op`'s output columns, in order.
+std::vector<std::string> ColumnNames(const LogicalOp& op) {
+  std::vector<std::string> names;
+  for (size_t i = 0; i < op.output_schema().num_columns(); ++i) {
+    names.push_back(op.output_schema().column(i).name);
+  }
+  return names;
+}
+
+// Fig. 8 Q2's per-group query: for each comparison, count the group's parts
+// priced on that side of the group's average (a cached scalar-subquery
+// Apply, a Filter, then a projection dropping the appended average).
+PlanBuilder Q2ShapedPgq(const Schema& gs) {
+  std::vector<PlanBuilder> branches;
+  for (bool above : {true, false}) {
+    std::vector<std::string> group_columns;
+    for (size_t i = 0; i < gs.num_columns(); ++i) {
+      group_columns.push_back(gs.column(i).name);
+    }
+    branches.push_back(
+        PlanBuilder::GroupScan("g", gs)
+            .Apply(PlanBuilder::GroupScan("g", gs).ScalarAgg(
+                {{AggKind::kAvg, "p_retailprice", "avgp", false}}))
+            .Select([above](const Schema& s) {
+              return above ? Ge(Col(s, "p_retailprice"), Col(s, "avgp"))
+                           : Lt(Col(s, "p_retailprice"), Col(s, "avgp"));
+            })
+            .Project(group_columns)
+            .ScalarAgg({{AggKind::kCountStar, "", "cnt", false}}));
+  }
+  return PlanBuilder::UnionAll(std::move(branches));
+}
+
+TEST_F(RuleTest, ProjectionBeforeGApplyPrunesQ2ShapedPgqByDemand) {
+  auto outer = PartsuppPart();
+  const Schema gs = outer.schema();
+  auto plan = Build(std::move(outer).GApply({"ps_suppkey"}, "g",
+                                            Q2ShapedPgq(gs)));
+  ASSERT_NE(plan, nullptr);
+  for (const Optimizer::Options& options :
+       {Only(&Optimizer::Options::projection_before_gapply),
+        Optimizer::Options()}) {
+    std::vector<std::string> fired;
+    LogicalOpPtr optimized = CheckEquivalent(*plan, options, &fired);
+    ASSERT_NE(optimized, nullptr);
+    EXPECT_TRUE(Fired(fired, "ProjectionBeforeGApply"));
+    ASSERT_EQ(optimized->type(), LogicalOpType::kGApply);
+    const auto* ga = static_cast<const LogicalGApply*>(optimized.get());
+    EXPECT_EQ(ga->outer()->type(), LogicalOpType::kProject);
+    // count(*) reads no column: only the filter's p_retailprice and the
+    // grouping column survive, and the projection under each count(*) no
+    // longer copies the other eight.
+    EXPECT_EQ(ColumnNames(*ga->outer()),
+              (std::vector<std::string>{"ps_suppkey", "p_retailprice"}))
+        << optimized->DebugString();
+    EXPECT_LE(MaxWidth(*ga->pgq()), 3u) << optimized->DebugString();
+  }
+}
+
+TEST_F(RuleTest, ProjectionBeforeGApplyKeepsColumnReadOnlyByCorrelatedRef) {
+  auto outer = PartsuppPart();
+  const Schema gs = outer.schema();
+  const int cost = gs.TryResolve("ps_supplycost");
+  // Per part: how many of the group's parts cost more than its supply cost.
+  // ps_supplycost is read only through the correlated reference.
+  auto inner = PlanBuilder::GroupScan("g", gs)
+                   .Select([&gs, cost](const Schema& s) {
+                     return Gt(Col(s, "p_retailprice"),
+                               std::make_unique<CorrelatedColumnRefExpr>(
+                                   0, cost,
+                                   gs.column(static_cast<size_t>(cost)).type,
+                                   "ps_supplycost"));
+                   })
+                   .ScalarAgg({{AggKind::kCountStar, "", "cnt", false}});
+  auto pgq = PlanBuilder::GroupScan("g", gs)
+                 .Apply(std::move(inner))
+                 .Project({"p_name", "cnt"});
+  auto plan =
+      Build(std::move(outer).GApply({"ps_suppkey"}, "g", std::move(pgq)));
+  ASSERT_NE(plan, nullptr);
+  std::vector<std::string> fired;
+  LogicalOpPtr optimized = CheckEquivalent(
+      *plan, Only(&Optimizer::Options::projection_before_gapply), &fired);
+  ASSERT_NE(optimized, nullptr);
+  EXPECT_TRUE(Fired(fired, "ProjectionBeforeGApply"));
+  const auto* ga = static_cast<const LogicalGApply*>(optimized.get());
+  EXPECT_EQ(ColumnNames(*ga->outer()),
+            (std::vector<std::string>{"ps_suppkey", "ps_supplycost", "p_name",
+                                      "p_retailprice"}))
+      << optimized->DebugString();
+}
+
+TEST_F(RuleTest, ProjectionBeforeGApplyDropsNothingUnderDistinct) {
+  auto outer = PartsuppPart();
+  const Schema gs = outer.schema();
+  // Distinct brands per supplier, counted: Distinct reads both of its input
+  // columns, so neither may be dropped even though count(*) reads none.
+  auto pgq = PlanBuilder::GroupScan("g", gs)
+                 .Project({"p_brand", "p_size"})
+                 .Distinct()
+                 .ScalarAgg({{AggKind::kCountStar, "", "cnt", false}});
+  auto plan =
+      Build(std::move(outer).GApply({"ps_suppkey"}, "g", std::move(pgq)));
+  ASSERT_NE(plan, nullptr);
+  std::vector<std::string> fired;
+  LogicalOpPtr optimized = CheckEquivalent(
+      *plan, Only(&Optimizer::Options::projection_before_gapply), &fired);
+  ASSERT_NE(optimized, nullptr);
+  EXPECT_TRUE(Fired(fired, "ProjectionBeforeGApply"));
+  const auto* ga = static_cast<const LogicalGApply*>(optimized.get());
+  EXPECT_EQ(ColumnNames(*ga->outer()),
+            (std::vector<std::string>{"ps_suppkey", "p_brand", "p_size"}))
+      << optimized->DebugString();
+  const LogicalOp* distinct = ga->pgq()->child(0);
+  ASSERT_EQ(distinct->type(), LogicalOpType::kDistinct);
+  EXPECT_EQ(distinct->output_schema().num_columns(), 2u);
+}
+
+TEST_F(RuleTest, ProjectionBeforeGApplyStandsDownOnUnevenUnionDrops) {
+  auto outer = PartsuppPart();
+  const Schema gs = outer.schema();
+  // Branch 1 would drop both of its columns; branch 2 keeps p_mfgr, which
+  // its own filter reads. Union positions would no longer line up.
+  std::vector<PlanBuilder> branches;
+  branches.push_back(
+      PlanBuilder::GroupScan("g", gs).Project({"p_name", "p_brand"}));
+  branches.push_back(PlanBuilder::GroupScan("g", gs)
+                         .Select([](const Schema& s) {
+                           return Eq(Col(s, "p_mfgr"), Lit("Manufacturer#1"));
+                         })
+                         .Project({"p_name", "p_mfgr"}));
+  auto pgq = PlanBuilder::UnionAll(std::move(branches))
+                 .ScalarAgg({{AggKind::kCountStar, "", "cnt", false}});
+  auto plan =
+      Build(std::move(outer).GApply({"ps_suppkey"}, "g", std::move(pgq)));
+  ASSERT_NE(plan, nullptr);
+  std::vector<std::string> fired;
+  LogicalOpPtr optimized = CheckEquivalent(
+      *plan, Only(&Optimizer::Options::projection_before_gapply), &fired);
+  ASSERT_NE(optimized, nullptr);
+  EXPECT_FALSE(Fired(fired, "ProjectionBeforeGApply"))
+      << optimized->DebugString();
+}
+
+TEST_F(RuleTest, ProjectionBeforeGApplyDropsEveryColumnCountStarIgnores) {
+  auto outer = PartsuppPart();
+  const Schema gs = outer.schema();
+  // Both branches only pass columns through to count(*): every projected
+  // column goes, and the union counts zero-width rows.
+  std::vector<PlanBuilder> branches;
+  branches.push_back(PlanBuilder::GroupScan("g", gs).Project({"p_name"}));
+  branches.push_back(PlanBuilder::GroupScan("g", gs).Project({"p_brand"}));
+  auto pgq = PlanBuilder::UnionAll(std::move(branches))
+                 .ScalarAgg({{AggKind::kCountStar, "", "cnt", false}});
+  auto plan =
+      Build(std::move(outer).GApply({"ps_suppkey"}, "g", std::move(pgq)));
+  ASSERT_NE(plan, nullptr);
+  std::vector<std::string> fired;
+  LogicalOpPtr optimized = CheckEquivalent(
+      *plan, Only(&Optimizer::Options::projection_before_gapply), &fired);
+  ASSERT_NE(optimized, nullptr);
+  EXPECT_TRUE(Fired(fired, "ProjectionBeforeGApply"));
+  const auto* ga = static_cast<const LogicalGApply*>(optimized.get());
+  EXPECT_EQ(ColumnNames(*ga->outer()),
+            (std::vector<std::string>{"ps_suppkey"}))
+      << optimized->DebugString();
+}
+
+TEST_F(RuleTest, ProjectionBeforeGApplyPrunesThroughNestedGApply) {
+  auto outer = PartsuppPart();
+  const Schema gs = outer.schema();
+  // Per supplier, per brand: the highest price. The nested GApply groups on
+  // p_brand and its PGQ reads p_retailprice.
+  auto pgq = PlanBuilder::GroupScan("g", gs).GApply(
+      {"p_brand"}, "h",
+      PlanBuilder::GroupScan("h", gs).ScalarAgg(
+          {{AggKind::kMax, "p_retailprice", "maxp", false}}));
+  auto plan =
+      Build(std::move(outer).GApply({"ps_suppkey"}, "g", std::move(pgq)));
+  ASSERT_NE(plan, nullptr);
+  std::vector<std::string> fired;
+  LogicalOpPtr optimized = CheckEquivalent(
+      *plan, Only(&Optimizer::Options::projection_before_gapply), &fired);
+  ASSERT_NE(optimized, nullptr);
+  EXPECT_TRUE(Fired(fired, "ProjectionBeforeGApply"));
+  const auto* ga = static_cast<const LogicalGApply*>(optimized.get());
+  EXPECT_EQ(ColumnNames(*ga->outer()),
+            (std::vector<std::string>{"ps_suppkey", "p_brand",
+                                      "p_retailprice"}))
+      << optimized->DebugString();
+  EXPECT_EQ(MaxWidth(*ga->pgq()), 3u) << optimized->DebugString();
+}
+
+TEST_F(RuleTest, MergeProjectsComposesColumnOnlyStack) {
+  auto plan = Build(PlanBuilder::Scan(catalog_, "part")
+                        .ProjectExprs(
+                            [](const Schema& s) {
+                              std::vector<ExprPtr> e;
+                              e.push_back(Col(s, "p_partkey"));
+                              e.push_back(Binary(BinaryOp::kMultiply,
+                                                 Col(s, "p_retailprice"),
+                                                 Lit(2.0)));
+                              e.push_back(Col(s, "p_name"));
+                              return e;
+                            },
+                            {"p_partkey", "twice", "p_name"})
+                        .ProjectExprs(
+                            [](const Schema& s) {
+                              std::vector<ExprPtr> e;
+                              e.push_back(Col(s, "twice"));
+                              e.push_back(Col(s, "p_name"));
+                              e.push_back(Col(s, "p_name"));
+                              return e;
+                            },
+                            {"price2", "name", "name_again"}));
+  ASSERT_NE(plan, nullptr);
+  std::vector<std::string> fired;
+  LogicalOpPtr optimized = CheckEquivalent(
+      *plan, Only(&Optimizer::Options::classic_pushdown), &fired);
+  ASSERT_NE(optimized, nullptr);
+  EXPECT_TRUE(Fired(fired, "MergeProjects"));
+  ASSERT_EQ(optimized->type(), LogicalOpType::kProject);
+  EXPECT_EQ(optimized->child(0)->type(), LogicalOpType::kScan)
+      << optimized->DebugString();
+  EXPECT_EQ(ColumnNames(*optimized),
+            (std::vector<std::string>{"price2", "name", "name_again"}));
+}
+
+TEST_F(RuleTest, MergeProjectsRefusesToDuplicateComputedExpression) {
+  auto plan = Build(PlanBuilder::Scan(catalog_, "part")
+                        .ProjectExprs(
+                            [](const Schema& s) {
+                              std::vector<ExprPtr> e;
+                              e.push_back(Binary(BinaryOp::kMultiply,
+                                                 Col(s, "p_retailprice"),
+                                                 Lit(2.0)));
+                              return e;
+                            },
+                            {"twice"})
+                        .ProjectExprs(
+                            [](const Schema& s) {
+                              std::vector<ExprPtr> e;
+                              e.push_back(Col(s, "twice"));
+                              e.push_back(Col(s, "twice"));
+                              return e;
+                            },
+                            {"a", "b"}));
+  ASSERT_NE(plan, nullptr);
+  std::vector<std::string> fired;
+  LogicalOpPtr optimized = CheckEquivalent(
+      *plan, Only(&Optimizer::Options::classic_pushdown), &fired);
+  ASSERT_NE(optimized, nullptr);
+  EXPECT_FALSE(Fired(fired, "MergeProjects"));
+  ASSERT_EQ(optimized->type(), LogicalOpType::kProject);
+  EXPECT_EQ(optimized->child(0)->type(), LogicalOpType::kProject);
+}
+
+TEST_F(RuleTest, MergeProjectsDropsIdentityButKeepsRenamingProjection) {
+  // Over a Distinct (which MergeProjects cannot see through): a projection
+  // repeating its input under the same names goes, a renaming one stays.
+  auto distinct_brands = [this] {
+    return PlanBuilder::Scan(catalog_, "part").Project({"p_brand"}).Distinct();
+  };
+  auto identity = Build(distinct_brands().Project({"p_brand"}));
+  auto renaming = Build(distinct_brands().ProjectExprs(
+      [](const Schema& s) {
+        std::vector<ExprPtr> e;
+        e.push_back(Col(s, "p_brand"));
+        return e;
+      },
+      {"brand"}));
+  ASSERT_NE(identity, nullptr);
+  ASSERT_NE(renaming, nullptr);
+
+  std::vector<std::string> fired;
+  LogicalOpPtr optimized = CheckEquivalent(
+      *identity, Only(&Optimizer::Options::classic_pushdown), &fired);
+  ASSERT_NE(optimized, nullptr);
+  EXPECT_TRUE(Fired(fired, "MergeProjects"));
+  EXPECT_EQ(optimized->type(), LogicalOpType::kDistinct)
+      << optimized->DebugString();
+
+  optimized = CheckEquivalent(
+      *renaming, Only(&Optimizer::Options::classic_pushdown), &fired);
+  ASSERT_NE(optimized, nullptr);
+  EXPECT_FALSE(Fired(fired, "MergeProjects"));
+  ASSERT_EQ(optimized->type(), LogicalOpType::kProject);
+  EXPECT_EQ(ColumnNames(*optimized), (std::vector<std::string>{"brand"}));
+}
+
 TEST_F(RuleTest, SelectionBeforeGApplyPushesCoveringRange) {
   // Figure 3: for each supplier, parts of brand A priced above the average
   // price of parts of brand B. Covering range: brand=A OR brand=B.
@@ -281,8 +583,7 @@ TEST_F(RuleTest, GApplyToGroupByGroupbyVariant) {
 
 // Builds the paper's §4.2 exists query: suppliers supplying some part with
 // p_retailprice > cutoff, returning whole groups.
-LogicalOpPtr ExistsSelectionPlan(RuleTest* t, PlanBuilder outer,
-                                 double cutoff) {
+LogicalOpPtr ExistsSelectionPlan(PlanBuilder outer, double cutoff) {
   const Schema gs = outer.schema();
   auto probe = PlanBuilder::GroupScan("g", gs)
                    .Select([&](const Schema& s) {
@@ -297,7 +598,7 @@ LogicalOpPtr ExistsSelectionPlan(RuleTest* t, PlanBuilder outer,
 }
 
 TEST_F(RuleTest, GroupSelectionExistsFiresWhenForced) {
-  auto plan = ExistsSelectionPlan(this, PartsuppPart(), 1090.0);
+  auto plan = ExistsSelectionPlan(PartsuppPart(), 1090.0);
   ASSERT_NE(plan, nullptr);
   Optimizer::Options o = Only(&Optimizer::Options::group_selection_exists);
   o.cost_gate = false;
@@ -314,7 +615,7 @@ TEST_F(RuleTest, GroupSelectionExistsFiresWhenForced) {
 TEST_F(RuleTest, GroupSelectionExistsCostGateRejectsUnselectivePredicate) {
   // Nearly every supplier has a part above 900 (min retail price ≈ 901):
   // reconstructing groups via an extra join cannot win.
-  auto plan = ExistsSelectionPlan(this, PartsuppPart(), 100.0);
+  auto plan = ExistsSelectionPlan(PartsuppPart(), 100.0);
   ASSERT_NE(plan, nullptr);
   Optimizer::Options o = Only(&Optimizer::Options::group_selection_exists);
   o.cost_gate = true;
