@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/json.h"
@@ -160,10 +161,14 @@ inline void RecordPhysProfile(PhysOp* root, ExecContext* ctx,
 }
 
 /// One named timing measurement destined for BENCH_*.json. bench_check
-/// gates on the "ms" leaf and uses "label" for its messages.
+/// gates on the "ms" leaf and uses "label" for its messages. `fields` are
+/// extra numeric members written after "ms" (parameters and derived
+/// figures such as ns per group); name them so bench_check does not read
+/// them as timings (no "ms" / "_ms" key).
 struct TimingRecord {
   std::string label;
   double ms = 0;
+  std::vector<std::pair<std::string, double>> fields;
 };
 
 inline std::vector<TimingRecord>& TimingRegistry() {
@@ -172,8 +177,10 @@ inline std::vector<TimingRecord>& TimingRegistry() {
   return *registry;
 }
 
-inline void RecordTiming(const std::string& label, double ms) {
-  TimingRegistry().push_back({label, ms});
+inline void RecordTiming(
+    const std::string& label, double ms,
+    std::vector<std::pair<std::string, double>> fields = {}) {
+  TimingRegistry().push_back({label, ms, std::move(fields)});
 }
 
 /// Writes BENCH_<name>.json with the standard metadata header, every
@@ -215,9 +222,12 @@ inline void WriteBenchJson(const std::string& name, double sf, int reps) {
                name.c_str(), sf, reps, ThreadPool::DefaultParallelism());
   const std::vector<TimingRecord>& timings = TimingRegistry();
   for (size_t i = 0; i < timings.size(); ++i) {
-    std::fprintf(f, "    {\"label\": \"%s\", \"ms\": %.4f}%s\n",
-                 JsonEscape(timings[i].label).c_str(), timings[i].ms,
-                 i + 1 == timings.size() ? "" : ",");
+    std::fprintf(f, "    {\"label\": \"%s\", \"ms\": %.4f",
+                 JsonEscape(timings[i].label).c_str(), timings[i].ms);
+    for (const auto& [key, value] : timings[i].fields) {
+      std::fprintf(f, ", \"%s\": %.6g", JsonEscape(key).c_str(), value);
+    }
+    std::fprintf(f, "}%s\n", i + 1 == timings.size() ? "" : ",");
   }
   std::fprintf(f, "  ],\n%s\n}\n", ProfilesJsonMember().c_str());
   std::fclose(f);

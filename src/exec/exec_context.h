@@ -2,8 +2,9 @@
 #define GAPPLY_EXEC_EXEC_CONTEXT_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -176,35 +177,36 @@ class ExecContext {
   SpillManager* spill() const { return spill_; }
   void set_spill(SpillManager* spill) { spill_ = spill; }
 
-  /// Pushes a group binding for `var`. `schema` and `rows` must outlive the
-  /// binding.
+  /// Pushes a group binding for `var`. `schema` and the rows `rows` points
+  /// at must outlive the binding.
   void BindGroup(const std::string& var, const Schema* schema,
-                 const std::vector<Row>* rows) {
-    groups_[var].push_back({schema, rows});
+                 std::span<const Row> rows) {
+    group_bindings_.push_back({var, schema, rows});
   }
 
   /// Pops the innermost binding for `var`.
   Status UnbindGroup(const std::string& var) {
-    auto it = groups_.find(var);
-    if (it == groups_.end() || it->second.empty()) {
-      return Status::Internal("unbind of unbound group variable: " + var);
+    for (size_t i = group_bindings_.size(); i-- > 0;) {
+      if (group_bindings_[i].var == var) {
+        group_bindings_.erase(group_bindings_.begin() +
+                              static_cast<std::ptrdiff_t>(i));
+        return Status::OK();
+      }
     }
-    it->second.pop_back();
-    if (it->second.empty()) groups_.erase(it);
-    return Status::OK();
+    return Status::Internal("unbind of unbound group variable: " + var);
   }
 
   /// Innermost binding for `var`.
-  Result<std::pair<const Schema*, const std::vector<Row>*>> GetGroup(
+  Result<std::pair<const Schema*, std::span<const Row>>> GetGroup(
       const std::string& var) const {
-    auto it = groups_.find(var);
-    if (it == groups_.end() || it->second.empty()) {
-      return Status::Internal("group variable not bound: " + var);
+    for (size_t i = group_bindings_.size(); i-- > 0;) {
+      const GroupBinding& b = group_bindings_[i];
+      if (b.var == var) return std::make_pair(b.schema, b.rows);
     }
-    return it->second.back();
+    return Status::Internal("group variable not bound: " + var);
   }
 
-  /// Snapshot for a parallel worker: copies the group-binding stacks and
+  /// Snapshot for a parallel worker: copies the group-binding stack and
   /// the correlated-row stack (both hold non-owning pointers the parent
   /// must keep alive for the worker's lifetime) and starts with zeroed
   /// counters. The worker mutates only its own copy, so enclosing Apply /
@@ -212,7 +214,7 @@ class ExecContext {
   ExecContext ForkForWorker() const {
     ExecContext child;
     child.eval_ = eval_;
-    child.groups_ = groups_;
+    child.group_bindings_ = group_bindings_;
     child.batch_size_ = batch_size_;
     child.thread_pool_ = thread_pool_;
     // Workers share the query's budget and spill directory: both are
@@ -228,9 +230,15 @@ class ExecContext {
 
  private:
   EvalContext eval_;
-  std::map<std::string,
-           std::vector<std::pair<const Schema*, const std::vector<Row>*>>>
-      groups_;
+  // Relation-valued bindings, innermost last. Lookups search from the back,
+  // so a rebinding of a name shadows the enclosing one. Popped entries keep
+  // the vector's capacity: binding once per group allocates nothing.
+  struct GroupBinding {
+    std::string var;
+    const Schema* schema;
+    std::span<const Row> rows;
+  };
+  std::vector<GroupBinding> group_bindings_;
   Counters counters_;
   size_t batch_size_ = RowBatch::kDefaultCapacity;
   ThreadPool* thread_pool_ = nullptr;

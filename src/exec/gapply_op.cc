@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <system_error>
-#include <unordered_map>
 #include <utility>
 
 #include "src/common/thread_pool.h"
@@ -30,6 +30,92 @@ Row ExtractKey(const Row& row, const std::vector<int>& cols) {
   key.reserve(cols.size());
   for (int c : cols) key.push_back(row[static_cast<size_t>(c)]);
   return key;
+}
+
+/// Hash-mode group-id assignment: an open-addressing table of (hash, gid)
+/// slots with linear probing. It starts at 16 slots, so a GApply over a
+/// handful of groups pays for a handful of slots, and doubles at half load;
+/// growing re-places the stored hashes without touching any row.
+class GidTable {
+ public:
+  /// The gid of a stored slot whose hash is `hash` and for which
+  /// `matches(gid)` holds; if there is none, stores `next_gid` under
+  /// `hash` and returns it.
+  template <typename Matches>
+  size_t FindOrInsert(size_t hash, size_t next_gid, const Matches& matches) {
+    for (size_t i = Home(hash);; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (slot.gid == kEmpty) {
+        slot = {hash, next_gid};
+        if (++used_ * 2 > slots_.size()) Grow();
+        return next_gid;
+      }
+      if (slot.hash == hash && matches(slot.gid)) return slot.gid;
+    }
+  }
+
+ private:
+  static constexpr size_t kEmpty = SIZE_MAX;
+  static constexpr int kInitialLog2 = 4;
+
+  struct Slot {
+    size_t hash = 0;
+    size_t gid = kEmpty;
+  };
+
+  // Fibonacci hashing: the top bits of hash × 2^64/φ pick the home slot, so
+  // hashes that differ only in their high bits still spread.
+  size_t Home(size_t hash) const {
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(hash) * 0x9e3779b97f4a7c15ull) >> shift_);
+  }
+
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.size() * 2, Slot{});
+    mask_ = slots_.size() - 1;
+    --shift_;
+    for (const Slot& slot : old) {
+      if (slot.gid == kEmpty) continue;
+      size_t i = Home(slot.hash);
+      while (slots_[i].gid != kEmpty) i = (i + 1) & mask_;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_ = std::vector<Slot>(size_t{1} << kInitialLog2);
+  size_t mask_ = (size_t{1} << kInitialLog2) - 1;
+  int shift_ = 64 - kInitialLog2;
+  size_t used_ = 0;
+};
+
+/// Counting scatter: moves each `(*rows)[i]` into the arena slice of group
+/// `gids[i]` (all below `num_groups`), keeping the rows' relative order
+/// within every group. On return group g's rows are
+/// `(*arena)[(*offsets)[g], (*offsets)[g + 1])` and `*rows` is empty.
+void ScatterByGid(std::vector<Row>* rows, const std::vector<size_t>& gids,
+                  size_t num_groups, std::vector<Row>* arena,
+                  std::vector<size_t>* offsets) {
+  // offsets[g + 2] first counts group g; the prefix sum turns offsets[g + 1]
+  // into group g's first slot, and filling advances it past g's last row,
+  // which is where group g + 1 starts.
+  std::vector<size_t>& off = *offsets;
+  off.assign(num_groups + 2, 0);
+  for (size_t g : gids) ++off[g + 2];
+  for (size_t i = 2; i < off.size(); ++i) off[i] += off[i - 1];
+  arena->clear();
+  arena->resize(rows->size());
+  for (size_t i = 0; i < rows->size(); ++i) {
+    (*arena)[off[gids[i] + 1]++] = std::move((*rows)[i]);
+  }
+  off.pop_back();
+  rows->clear();
+}
+
+std::span<const Row> Slice(const std::vector<Row>& arena,
+                           const std::vector<size_t>& offsets, size_t g) {
+  return std::span<const Row>(arena).subspan(offsets[g],
+                                             offsets[g + 1] - offsets[g]);
 }
 
 uint64_t NowNs() {
@@ -75,7 +161,10 @@ GApplyOp::GApplyOp(PhysOpPtr outer, std::vector<int> grouping_columns,
 
 Status GApplyOp::Partition(ExecContext* ctx) {
   group_keys_.clear();
-  groups_.clear();
+  members_.clear();
+  offsets_.clear();
+  arrivals_.clear();
+  arrival_gids_.clear();
   spilled_ = false;
   spill_writers_.clear();
   spill_paths_.clear();
@@ -90,12 +179,13 @@ Status GApplyOp::Partition(ExecContext* ctx) {
 
   if (mode_ == PartitionMode::kHash) {
     // Hash mode partitions batch-at-a-time, straight off the outer child:
-    // each batch's key hashes are precomputed in one pass, then rows are
-    // routed into their groups. Group keys are materialized exactly once
-    // per distinct group (on first appearance) — a row belonging to an
-    // existing group is matched by comparing its grouping columns in place
-    // against the stored key, with no per-row key row built.
-    std::unordered_map<size_t, std::vector<size_t>> index;  // hash → gids
+    // each batch's key hashes are precomputed in one pass, then every row
+    // gets its gid from the open-addressing table and is buffered in
+    // arrival order. A group's key is materialized once, on first
+    // appearance; later rows are matched by comparing their grouping
+    // columns in place against it. At end of input one counting scatter
+    // moves the buffered rows into the member arena.
+    GidTable gids;
     std::vector<size_t> hashes;
     const auto row_matches_key = [this](const Row& row, const Row& key) {
       for (size_t i = 0; i < grouping_columns_.size(); ++i) {
@@ -112,21 +202,14 @@ Status GApplyOp::Partition(ExecContext* ctx) {
       for (size_t i = 0; i < batch.size(); ++i) {
         hashes[i] = HashRowColumns(batch[i], grouping_columns_);
       }
-      index.reserve(index.size() + batch.size());
       for (size_t i = 0; i < batch.size(); ++i) {
         Row& r = batch[i];
-        std::vector<size_t>& bucket = index[hashes[i]];
-        size_t gid = groups_.size();
-        for (size_t cand : bucket) {
-          if (row_matches_key(r, group_keys_[cand])) {
-            gid = cand;
-            break;
-          }
-        }
-        if (gid == groups_.size()) {
-          bucket.push_back(gid);
+        const size_t gid = gids.FindOrInsert(
+            hashes[i], group_keys_.size(), [&](size_t cand) {
+              return row_matches_key(r, group_keys_[cand]);
+            });
+        if (gid == group_keys_.size()) {
           group_keys_.push_back(ExtractKey(r, grouping_columns_));
-          groups_.emplace_back();
         }
         if (!spilled_ && budgeted && !mem_.TryGrow(ApproxRowBytes(r))) {
           RETURN_NOT_OK(StartMemberSpill(ctx));
@@ -135,7 +218,8 @@ Status GApplyOp::Partition(ExecContext* ctx) {
           RETURN_NOT_OK(
               spill_writers_[PartitionOfGid(gid, 0)]->WriteIndexedRow(gid, r));
         } else {
-          groups_[gid].push_back(std::move(r));
+          arrivals_.push_back(std::move(r));
+          arrival_gids_.push_back(gid);
         }
       }
     }
@@ -146,68 +230,62 @@ Status GApplyOp::Partition(ExecContext* ctx) {
         spill_paths_[p] = spill_writers_[p]->path();
       }
       spill_writers_.clear();
+    } else {
+      ScatterByGid(&arrivals_, arrival_gids_, group_keys_.size(), &members_,
+                   &offsets_);
+      arrival_gids_.clear();
     }
     return outer_->Close(ctx);
   }
 
-  std::vector<Row> input;
+  // Sort mode: the stable-sorted input is the arena as it stands.
   while (true) {
     ASSIGN_OR_RETURN(bool has, outer_->NextBatch(ctx, &batch));
     if (!has) break;
-    for (Row& row : batch.rows()) input.push_back(std::move(row));
+    for (Row& row : batch.rows()) members_.push_back(std::move(row));
   }
   RETURN_NOT_OK(outer_->Close(ctx));
 
-  {
-    ctx->counters().rows_sorted += input.size();
-    std::stable_sort(input.begin(), input.end(),
-                     [this](const Row& a, const Row& b) {
-                       for (int c : grouping_columns_) {
-                         const int cmp =
-                             CompareForSort(a[static_cast<size_t>(c)],
-                                            b[static_cast<size_t>(c)]);
-                         if (cmp != 0) return cmp < 0;
-                       }
-                       return false;
-                     });
-    // After sorting, equal keys are adjacent, so a group boundary is a row
-    // that differs from its predecessor on some grouping column — compared
-    // on the raw row, with no per-row key materialization. A first pass
-    // finds the run lengths so every vector can be reserved exactly; keys
-    // are extracted once per group, not once per row.
-    const auto same_group = [this](const Row& a, const Row& b) {
-      for (int c : grouping_columns_) {
-        if (!a[static_cast<size_t>(c)].Equals(b[static_cast<size_t>(c)])) {
-          return false;
-        }
+  ctx->counters().rows_sorted += members_.size();
+  std::stable_sort(members_.begin(), members_.end(),
+                   [this](const Row& a, const Row& b) {
+                     for (int c : grouping_columns_) {
+                       const int cmp =
+                           CompareForSort(a[static_cast<size_t>(c)],
+                                          b[static_cast<size_t>(c)]);
+                       if (cmp != 0) return cmp < 0;
+                     }
+                     return false;
+                   });
+  // After sorting, equal keys are adjacent, so a group starts at a row that
+  // differs from its predecessor on some grouping column — compared on the
+  // raw row, with no per-row key materialization. Keys are extracted once
+  // per group.
+  const auto same_group = [this](const Row& a, const Row& b) {
+    for (int c : grouping_columns_) {
+      if (!a[static_cast<size_t>(c)].Equals(b[static_cast<size_t>(c)])) {
+        return false;
       }
-      return true;
-    };
-    std::vector<size_t> run_lengths;
-    for (size_t i = 0; i < input.size(); ++i) {
-      if (i == 0 || !same_group(input[i - 1], input[i])) {
-        run_lengths.push_back(0);
-      }
-      ++run_lengths.back();
     }
-    group_keys_.reserve(run_lengths.size());
-    groups_.reserve(run_lengths.size());
-    size_t pos = 0;
-    for (size_t len : run_lengths) {
-      group_keys_.push_back(ExtractKey(input[pos], grouping_columns_));
-      groups_.emplace_back();
-      groups_.back().reserve(len);
-      for (size_t j = 0; j < len; ++j) {
-        groups_.back().push_back(std::move(input[pos++]));
-      }
+    return true;
+  };
+  for (size_t i = 0; i < members_.size(); ++i) {
+    if (i == 0 || !same_group(members_[i - 1], members_[i])) {
+      offsets_.push_back(i);
+      group_keys_.push_back(ExtractKey(members_[i], grouping_columns_));
     }
   }
+  offsets_.push_back(members_.size());
   return Status::OK();
+}
+
+std::span<const Row> GApplyOp::GroupRows(size_t g) const {
+  return Slice(members_, offsets_, g);
 }
 
 Status GApplyOp::OpenGroup(ExecContext* ctx) {
   ctx->BindGroup(var_name_, &outer_->output_schema(),
-                 &groups_[current_group_]);
+                 GroupRows(current_group_));
   Status st = pgq_->Open(ctx);
   if (!st.ok()) {
     (void)ctx->UnbindGroup(var_name_);
@@ -229,15 +307,10 @@ Status GApplyOp::CloseGroup(ExecContext* ctx) {
   return Status::OK();
 }
 
-Status GApplyOp::ExecuteOneGroup(PhysOp* pgq, ExecContext* ctx, size_t g,
-                                 RowBatch* batch, std::vector<Row>* out) {
-  return ExecuteGroupRows(pgq, ctx, g, groups_[g], batch, out);
-}
-
-Status GApplyOp::ExecuteGroupRows(PhysOp* pgq, ExecContext* ctx, size_t g,
-                                  const std::vector<Row>& rows,
-                                  RowBatch* batch, std::vector<Row>* out) {
-  ctx->BindGroup(var_name_, &outer_->output_schema(), &rows);
+Status GApplyOp::ExecuteGroup(PhysOp* pgq, ExecContext* ctx, size_t g,
+                              std::span<const Row> rows, RowBatch* batch,
+                              std::vector<Row>* out) {
+  ctx->BindGroup(var_name_, &outer_->output_schema(), rows);
   Status st = pgq->Open(ctx);
   if (!st.ok()) {
     (void)ctx->UnbindGroup(var_name_);
@@ -267,8 +340,8 @@ Status GApplyOp::ExecuteGroupRows(PhysOp* pgq, ExecContext* ctx, size_t g,
 }
 
 Status GApplyOp::ExecuteGroupsParallel(ExecContext* ctx) {
-  const size_t dop = std::min(parallelism_, groups_.size());
-  group_outputs_.assign(groups_.size(), {});
+  const size_t dop = std::min(parallelism_, num_groups());
+  group_outputs_.assign(num_groups(), {});
 
   struct WorkerState {
     PhysOpPtr pgq;
@@ -302,10 +375,10 @@ Status GApplyOp::ExecuteGroupsParallel(ExecContext* ctx) {
       const uint64_t busy_start = NowNs();
       while (!abort.load(std::memory_order_relaxed)) {
         const size_t g = next_group.fetch_add(1, std::memory_order_relaxed);
-        if (g >= groups_.size()) break;
+        if (g >= num_groups()) break;
         ws.groups_claimed++;
-        Status st = ExecuteOneGroup(ws.pgq.get(), &ws.ctx, g, &ws.batch,
-                                    &group_outputs_[g]);
+        Status st = ExecuteGroup(ws.pgq.get(), &ws.ctx, g, GroupRows(g),
+                                 &ws.batch, &group_outputs_[g]);
         if (!st.ok()) {
           ws.error = std::move(st);
           ws.error_group = g;
@@ -366,17 +439,16 @@ Status GApplyOp::StartMemberSpill(ExecContext* ctx) {
     ASSIGN_OR_RETURN(std::string path, ctx->spill()->NewFilePath());
     ASSIGN_OR_RETURN(w, SpillWriter::Open(path));
   }
-  // Flush the buffered member rows gid by gid: each gid's rows stay
-  // contiguous and in insertion order (= outer input order), which is all
-  // the per-partition gid bucketing in phase 2 relies on.
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    SpillWriter* w = spill_writers_[PartitionOfGid(g, 0)].get();
-    for (const Row& r : groups_[g]) {
-      RETURN_NOT_OK(w->WriteIndexedRow(g, r));
-    }
-    groups_[g].clear();
-    groups_[g].shrink_to_fit();
+  // Flush the buffered member rows in arrival order: each gid's rows reach
+  // its partition file in outer input order, which is all phase 2's
+  // per-partition scatter relies on.
+  for (size_t i = 0; i < arrivals_.size(); ++i) {
+    const size_t g = arrival_gids_[i];
+    RETURN_NOT_OK(spill_writers_[PartitionOfGid(g, 0)]->WriteIndexedRow(
+        g, arrivals_[i]));
   }
+  arrivals_ = {};
+  arrival_gids_ = {};
   mem_.ReleaseAll();
   spilled_ = true;
   return Status::OK();
@@ -396,7 +468,8 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
   // Load the partition under its own reservation; overflow below the
   // depth cap repartitions the gids at the next salt level.
   MemoryReservation part_mem(mem_.tracker());
-  std::vector<std::pair<uint64_t, Row>> rows;
+  std::vector<Row> rows;
+  std::vector<size_t> gids;
   ASSIGN_OR_RETURN(std::unique_ptr<SpillReader> reader,
                    SpillReader::Open(path));
   uint64_t gid = 0;
@@ -405,6 +478,11 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
   while (!overflow) {
     ASSIGN_OR_RETURN(bool has, reader->ReadIndexedRow(&gid, &row));
     if (!has) break;
+    if (gid >= num_groups()) {
+      return Status::Internal("spill: GApply record names group " +
+                              std::to_string(gid) + " of " +
+                              std::to_string(num_groups()));
+    }
     const size_t bytes = ApproxRowBytes(row);
     if (!part_mem.TryGrow(bytes)) {
       if (level + 1 < kMaxSpillDepth) {
@@ -415,7 +493,10 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
         part_mem.ForceGrow(bytes);
       }
     }
-    if (!overflow) rows.emplace_back(gid, std::move(row));
+    if (!overflow) {
+      rows.push_back(std::move(row));
+      gids.push_back(static_cast<size_t>(gid));
+    }
   }
 
   if (overflow) {
@@ -427,7 +508,9 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
     const auto route = [&](uint64_t g, const Row& r) -> Status {
       return writers[PartitionOfGid(g, level + 1)]->WriteIndexedRow(g, r);
     };
-    for (const auto& [g, r] : rows) RETURN_NOT_OK(route(g, r));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      RETURN_NOT_OK(route(gids[i], rows[i]));
+    }
     rows.clear();
     part_mem.ReleaseAll();
     RETURN_NOT_OK(route(gid, row));
@@ -453,22 +536,17 @@ Status GApplyOp::ExecuteSpilledPartition(ExecContext* ctx,
   profile_.peak_memory =
       std::max<uint64_t>(profile_.peak_memory, part_mem.peak());
 
-  // Bucket by gid in file order (= outer input order per group), then run
-  // the PGQ once per group. Execution order across groups is irrelevant for
-  // determinism: outputs land in per-gid slots and are drained in gid
-  // order by the buffered-output path.
-  std::unordered_map<uint64_t, std::vector<Row>> members;
-  std::vector<uint64_t> order;
-  for (auto& [g, r] : rows) {
-    auto [it, inserted] = members.try_emplace(g);
-    if (inserted) order.push_back(g);
-    it->second.push_back(std::move(r));
-  }
-  rows.clear();
-  for (uint64_t g : order) {
-    RETURN_NOT_OK(ExecuteGroupRows(pgq_.get(), ctx, static_cast<size_t>(g),
-                                   members[g], &pgq_batch_,
-                                   &group_outputs_[static_cast<size_t>(g)]));
+  // Scatter by gid in file order (= outer input order per group) through
+  // the same counting scatter as the in-memory partition, then run the PGQ
+  // once per group present in this partition. Outputs land in per-gid slots
+  // that the buffered-output path drains in gid order.
+  std::vector<Row> arena;
+  std::vector<size_t> offsets;
+  ScatterByGid(&rows, gids, num_groups(), &arena, &offsets);
+  for (size_t g = 0; g < num_groups(); ++g) {
+    if (offsets[g] == offsets[g + 1]) continue;
+    RETURN_NOT_OK(ExecuteGroup(pgq_.get(), ctx, g, Slice(arena, offsets, g),
+                               &pgq_batch_, &group_outputs_[g]));
   }
   RemoveFile(path);
   return Status::OK();
@@ -493,7 +571,7 @@ Status GApplyOp::OpenImpl(ExecContext* ctx) {
     // same per-gid output slots the parallel path uses — the buffered
     // drain below emits them in gid order either way.
     parallel_exec_ = true;
-    group_outputs_.assign(groups_.size(), {});
+    group_outputs_.assign(num_groups(), {});
     const uint64_t t1 = NowNs();
     Status st = Status::OK();
     for (const std::string& path : spill_paths_) {
@@ -508,7 +586,7 @@ Status GApplyOp::OpenImpl(ExecContext* ctx) {
     ctx->counters().gapply_pgq_ns += pgq_ns;
     if (ctx->profiling()) profile_.AddPhaseNs("per_group_query", pgq_ns);
     RETURN_NOT_OK(st);
-  } else if (parallelism_ > 1 && groups_.size() > 1) {
+  } else if (parallelism_ > 1 && num_groups() > 1) {
     parallel_exec_ = true;
     const uint64_t t1 = NowNs();
     Status st = ExecuteGroupsParallel(ctx);
@@ -549,7 +627,7 @@ Result<bool> GApplyOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   // Serial phase 2: pull PGQ batches for the open group and emit them
   // key-prefixed, rolling over group boundaries until the batch fills.
   pgq_batch_.Reset(out->capacity());
-  while (current_group_ < groups_.size() && !out->full()) {
+  while (current_group_ < num_groups() && !out->full()) {
     if (!group_open_) RETURN_NOT_OK(OpenGroup(ctx));
     auto next = pgq_->NextBatch(ctx, &pgq_batch_);
     if (!next.ok()) {
@@ -576,7 +654,10 @@ Result<bool> GApplyOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
 Status GApplyOp::CloseImpl(ExecContext* ctx) {
   if (group_open_) RETURN_NOT_OK(CloseGroup(ctx));
   group_keys_.clear();
-  groups_.clear();
+  members_.clear();
+  offsets_.clear();
+  arrivals_.clear();
+  arrival_gids_.clear();
   group_outputs_.clear();
   spill_writers_.clear();
   for (const std::string& path : spill_paths_) RemoveFile(path);

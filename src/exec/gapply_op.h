@@ -2,6 +2,7 @@
 #define GAPPLY_EXEC_GAPPLY_OP_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,11 +24,22 @@ const char* PartitionModeName(PartitionMode mode);
 /// columns — by sorting (output then comes out clustered by group, in
 /// grouping-column order) or by hashing (first-appearance group order).
 ///
-/// Phase 2 (Execute): for each group, the group's rows are bound to the
-/// relation-valued variable `var_name`, the per-group query subplan `pgq`
-/// (whose GroupScan leaves read that binding) is re-opened and drained, and
-/// each per-group output row is emitted prefixed by the grouping-column
-/// values — implementing
+/// Partition layout: one arena of member rows with per-group offsets —
+/// group g's rows are `members_[offsets_[g], offsets_[g + 1])` and its key
+/// is `group_keys_[g]`. Hash mode assigns each row a group id (gid) through
+/// an open-addressing table of (hash, gid) slots that starts at 16 slots and
+/// doubles at half load, buffers the rows in arrival order with their gids,
+/// and at end of input moves them into the arena with one counting scatter,
+/// so each group keeps input order and gids follow first appearance. Sort
+/// mode stable-sorts the input, which then is the arena as it stands, with
+/// offsets at the run boundaries. Either way a partition costs a few
+/// vectors, not a few heap allocations per group.
+///
+/// Phase 2 (Execute): for each group, its arena slice is bound as a
+/// `std::span` to the relation-valued variable `var_name`, the per-group
+/// query subplan `pgq` (whose GroupScan leaves read that binding) is
+/// re-opened and drained, and each per-group output row is emitted
+/// prefixed by the grouping-column values — implementing
 ///   ⋃_{c ∈ distinct(π_C(outer))} ({c} × PGQ(σ_{C=c}(outer))).
 ///
 /// Output schema: grouping columns (as named in the outer schema) followed
@@ -48,14 +60,17 @@ const char* PartitionModeName(PartitionMode mode);
 ///
 /// Under a memory budget (DESIGN.md §16), hash-mode partitioning whose
 /// member rows exceed the query's MemoryTracker budget spills members to
-/// disk as (gid, row) records partitioned by a gid hash — the gid index
-/// and group keys stay in memory. Phase 2 then executes one partition at a
-/// time: its rows are bucketed by gid in file order (= outer input order
-/// per group, since every gid lives in exactly one partition per level)
-/// and the PGQ runs serially per group into the per-gid output slots the
-/// parallel drain path already emits in gid order — bit-for-bit the
-/// in-memory output. Sort-mode partitioning stays in-memory (the sort
-/// below it is what spills).
+/// disk as (gid, row) records partitioned by a gid hash — the gid table
+/// and group keys stay in memory. The rows buffered before the refusal are
+/// flushed in arrival order, so every gid's records stay in input order.
+/// Phase 2 then executes one partition at a time: its rows go through the
+/// same counting scatter into an arena of their own (file order = outer
+/// input order per group, since every gid lives in exactly one partition
+/// per level) and the PGQ runs serially per group, bound to a slice of
+/// that arena, into the per-gid output slots the parallel drain path
+/// already emits in gid order — bit-for-bit the in-memory output.
+/// Sort-mode partitioning stays in-memory (the sort below it is what
+/// spills).
 class GApplyOp : public PhysOp {
  public:
   GApplyOp(PhysOpPtr outer, std::vector<int> grouping_columns,
@@ -79,18 +94,18 @@ class GApplyOp : public PhysOp {
   Status OpenGroup(ExecContext* ctx);
   Status CloseGroup(ExecContext* ctx);
 
-  /// Runs `pgq` over group `g` with bindings in `ctx`, pulling through the
-  /// scratch `*batch` and appending key-prefixed output rows to `*out`.
-  /// Thread-safe w.r.t. other groups: reads only the materialized
-  /// partitions, mutates only `ctx`, `*batch` and `*out`.
-  Status ExecuteOneGroup(PhysOp* pgq, ExecContext* ctx, size_t g,
-                         RowBatch* batch, std::vector<Row>* out);
+  size_t num_groups() const { return group_keys_.size(); }
+  /// Group g's member rows: its slice of the in-memory arena.
+  std::span<const Row> GroupRows(size_t g) const;
 
-  /// ExecuteOneGroup over an explicit member-row vector (the spill path
-  /// re-loads members from disk instead of reading groups_[g]).
-  Status ExecuteGroupRows(PhysOp* pgq, ExecContext* ctx, size_t g,
-                          const std::vector<Row>& rows, RowBatch* batch,
-                          std::vector<Row>* out);
+  /// Runs `pgq` over group `g`, whose member rows are `rows` (its arena
+  /// slice, or a slice of a reloaded spill partition), with bindings in
+  /// `ctx`, pulling through the scratch `*batch` and appending key-prefixed
+  /// output rows to `*out`. Thread-safe w.r.t. other groups: reads only
+  /// the materialized partition, mutates only `ctx`, `*batch` and `*out`.
+  Status ExecuteGroup(PhysOp* pgq, ExecContext* ctx, size_t g,
+                      std::span<const Row> rows, RowBatch* batch,
+                      std::vector<Row>* out);
 
   /// Phase-2 fan-out: executes every group on a worker pool, filling
   /// group_outputs_, and merges worker counters into `ctx`.
@@ -101,8 +116,8 @@ class GApplyOp : public PhysOp {
   /// for the rest of the outer input.
   Status StartMemberSpill(ExecContext* ctx);
   /// Phase 2 over one spill partition: loads its (gid, row) records
-  /// (recursively repartitioning on overflow), buckets them by gid and
-  /// runs the PGQ per group into group_outputs_.
+  /// (recursively repartitioning on overflow), scatters them by gid into
+  /// an arena and runs the PGQ per group into group_outputs_.
   Status ExecuteSpilledPartition(ExecContext* ctx, const std::string& path,
                                  int level);
   /// Finishes a spill file and books its bytes into counters + profile.
@@ -115,9 +130,15 @@ class GApplyOp : public PhysOp {
   PartitionMode mode_;
   size_t parallelism_;
 
-  // Materialized partitions: parallel vectors of key and member rows.
+  // The materialized partition: group keys by gid, and the member arena
+  // with num_groups() + 1 offsets (see the class comment).
   std::vector<Row> group_keys_;
-  std::vector<std::vector<Row>> groups_;
+  std::vector<Row> members_;
+  std::vector<size_t> offsets_;
+  // Hash mode's arrival-order buffer: rows and their gids, scattered into
+  // members_ at end of input (or flushed to disk by a spill).
+  std::vector<Row> arrivals_;
+  std::vector<size_t> arrival_gids_;
   size_t current_group_ = 0;
   bool group_open_ = false;
   uint64_t group_open_ns_ = 0;  // steady_clock stamp of the OpenGroup call

@@ -8,7 +8,7 @@ namespace {
 
 // Shared batch path of the three scans: range-copy `rows[*pos..end)`
 // into `out`, up to its capacity.
-bool ScanIntoBatch(const std::vector<Row>& rows, size_t* pos, size_t end,
+bool ScanIntoBatch(std::span<const Row> rows, size_t* pos, size_t end,
                    RowBatch* out) {
   out->Clear();
   end = std::min(end, rows.size());
@@ -169,20 +169,22 @@ Status GroupScanOp::OpenImpl(ExecContext* ctx) {
         std::to_string(schema_.num_columns()));
   }
   rows_ = binding.second;
+  bound_ = true;
   pos_ = 0;
   return Status::OK();
 }
 
 Result<bool> GroupScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
-  if (rows_ == nullptr) return Status::Internal("GroupScan not opened");
-  if (!ScanIntoBatch(*rows_, &pos_, rows_->size(), out)) return false;
+  if (!bound_) return Status::Internal("GroupScan not opened");
+  if (!ScanIntoBatch(rows_, &pos_, rows_.size(), out)) return false;
   ctx->counters().group_rows_scanned += out->size();
   RecordBatch(ctx, out->size());
   return true;
 }
 
 Status GroupScanOp::CloseImpl(ExecContext*) {
-  rows_ = nullptr;
+  rows_ = {};
+  bound_ = false;
   return Status::OK();
 }
 

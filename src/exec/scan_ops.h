@@ -1,6 +1,7 @@
 #ifndef GAPPLY_EXEC_SCAN_OPS_H_
 #define GAPPLY_EXEC_SCAN_OPS_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -126,7 +127,8 @@ class GroupScanOp : public PhysOp {
 
  private:
   std::string var_name_;
-  const std::vector<Row>* rows_ = nullptr;
+  std::span<const Row> rows_;  // the bound group, valid while bound_
+  bool bound_ = false;
   size_t pos_ = 0;
 };
 

@@ -206,11 +206,11 @@ TEST_F(AnalysesTest, RemapPgqPrunesAndPreservesSemantics) {
   ASSIGN_OR_FAIL(PhysOpPtr p2, LowerPlan(*remapped->plan, opts));
 
   ExecContext ctx;
-  ctx.BindGroup("g", &gs_, &rows3);
+  ctx.BindGroup("g", &gs_, rows3);
   auto r3 = ExecuteToVector(p3.get(), &ctx);
   ASSERT_TRUE(r3.ok());
   ASSERT_TRUE(ctx.UnbindGroup("g").ok());
-  ctx.BindGroup("g", &pruned, &rows2);
+  ctx.BindGroup("g", &pruned, rows2);
   auto r2 = ExecuteToVector(p2.get(), &ctx);
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(SameRowMultiset(r3->rows, r2->rows));
@@ -290,11 +290,11 @@ TEST_F(AnalysesTest, RemapPgqDropsPassthroughUnderCountStar) {
   ASSIGN_OR_FAIL(PhysOpPtr p3, LowerPlan(*pgq, opts));
   ASSIGN_OR_FAIL(PhysOpPtr p2, LowerPlan(*remapped->plan, opts));
   ExecContext ctx;
-  ctx.BindGroup("g", &gs_, &rows3);
+  ctx.BindGroup("g", &gs_, rows3);
   auto r3 = ExecuteToVector(p3.get(), &ctx);
   ASSERT_TRUE(r3.ok());
   ASSERT_TRUE(ctx.UnbindGroup("g").ok());
-  ctx.BindGroup("g", &pruned, &rows2);
+  ctx.BindGroup("g", &pruned, rows2);
   auto r2 = ExecuteToVector(p2.get(), &ctx);
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(SameRowMultiset(r3->rows, r2->rows));

@@ -29,7 +29,7 @@ TEST(ExecEdgeCases, GroupScanArityMismatchDetected) {
   ExecContext ctx;
   Schema narrow({{"k", TypeId::kInt64, "t"}});
   std::vector<Row> rows;
-  ctx.BindGroup("g", &narrow, &rows);
+  ctx.BindGroup("g", &narrow, rows);
   EXPECT_FALSE(scan.Open(&ctx).ok());
 }
 
@@ -43,12 +43,38 @@ TEST(ExecEdgeCases, GroupBindingShadowsByName) {
   Schema s = GroupedSchema();
   std::vector<Row> outer_rows{{Value::Int(1), Value::Int(1), Value::Double(1)}};
   std::vector<Row> inner_rows{{Value::Int(2), Value::Int(2), Value::Double(2)}};
-  ctx.BindGroup("g", &s, &outer_rows);
-  ctx.BindGroup("g", &s, &inner_rows);
+  ctx.BindGroup("g", &s, outer_rows);
+  ctx.BindGroup("g", &s, inner_rows);
   ASSERT_TRUE(ctx.GetGroup("g").ok());
-  EXPECT_EQ(ctx.GetGroup("g")->second, &inner_rows);
+  EXPECT_EQ(ctx.GetGroup("g")->second.data(), inner_rows.data());
+  EXPECT_EQ(ctx.GetGroup("g")->second.size(), inner_rows.size());
   ASSERT_TRUE(ctx.UnbindGroup("g").ok());
-  EXPECT_EQ(ctx.GetGroup("g")->second, &outer_rows);
+  EXPECT_EQ(ctx.GetGroup("g")->second.data(), outer_rows.data());
+  EXPECT_EQ(ctx.GetGroup("g")->second.size(), outer_rows.size());
+  ASSERT_TRUE(ctx.UnbindGroup("g").ok());
+  EXPECT_EQ(ctx.GetGroup("g").status().code(), StatusCode::kInternal);
+  EXPECT_EQ(ctx.UnbindGroup("g").code(), StatusCode::kInternal);
+}
+
+// Unbinding pops the innermost binding of that name even when another
+// name was bound after it; the other name's binding is untouched.
+TEST(ExecEdgeCases, GroupBindingUnbindsInnermostOfItsName) {
+  ExecContext ctx;
+  Schema s = GroupedSchema();
+  std::vector<Row> g_rows{{Value::Int(1), Value::Int(1), Value::Double(1)}};
+  std::vector<Row> h_rows{{Value::Int(2), Value::Int(2), Value::Double(2)},
+                          {Value::Int(3), Value::Int(3), Value::Double(3)}};
+  ctx.BindGroup("g", &s, g_rows);
+  ctx.BindGroup("h", &s, h_rows);
+  ASSERT_TRUE(ctx.UnbindGroup("g").ok());
+  EXPECT_FALSE(ctx.GetGroup("g").ok());
+  ASSERT_TRUE(ctx.GetGroup("h").ok());
+  EXPECT_EQ(ctx.GetGroup("h")->second.data(), h_rows.data());
+  EXPECT_EQ(ctx.GetGroup("h")->second.size(), 2u);
+  // A forked worker context sees the enclosing bindings.
+  ExecContext worker = ctx.ForkForWorker();
+  ASSERT_TRUE(worker.GetGroup("h").ok());
+  EXPECT_EQ(worker.GetGroup("h")->second.data(), h_rows.data());
 }
 
 TEST(ExecEdgeCases, SortOnEmptyInput) {

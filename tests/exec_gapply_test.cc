@@ -2,8 +2,12 @@
 
 #include <map>
 #include <memory>
+#include <string>
+#include <unordered_map>
 #include <utility>
 
+#include "src/common/memory_tracker.h"
+#include "src/common/spill_file.h"
 #include "src/exec/agg_ops.h"
 #include "src/exec/apply_ops.h"
 #include "src/exec/filter_project_ops.h"
@@ -23,33 +27,29 @@ using tutil::RunPlan;
 // ---------------------------------------------------------------------------
 // Naive reference implementation of GApply semantics:
 //   U_{c in distinct(pi_C(outer))} ({c} x PGQ(sigma_{C=c} outer))
-// computed by materializing partitions with a std::map and invoking a
-// PGQ-as-function callback. Property tests compare the operator against it.
+// computed by materializing one vector per group (found through a
+// std::unordered_map keyed by the key row) and invoking a PGQ-as-function
+// callback. Groups come out in first-appearance order and keep their input
+// order — the order hash-mode GApply guarantees. Property tests compare the
+// operator against it.
 // ---------------------------------------------------------------------------
 using PgqFn = std::function<std::vector<Row>(const std::vector<Row>&)>;
 
 std::vector<Row> ReferenceGApply(const std::vector<Row>& input,
                                  const std::vector<int>& gcols,
                                  const PgqFn& pgq) {
-  // Map with first-appearance ordering is not needed; output is compared as
-  // a multiset.
   std::vector<Row> keys;
   std::vector<std::vector<Row>> groups;
+  std::unordered_map<Row, size_t, RowHash, RowEq> index;
   for (const Row& row : input) {
     Row key;
     for (int c : gcols) key.push_back(row[static_cast<size_t>(c)]);
-    size_t g = keys.size();
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (RowsEqual(keys[i], key)) {
-        g = i;
-        break;
-      }
-    }
-    if (g == keys.size()) {
+    auto [it, inserted] = index.try_emplace(key, keys.size());
+    if (inserted) {
       keys.push_back(key);
       groups.emplace_back();
     }
-    groups[g].push_back(row);
+    groups[it->second].push_back(row);
   }
   std::vector<Row> out;
   for (size_t g = 0; g < groups.size(); ++g) {
@@ -227,6 +227,193 @@ TEST(GApplyTest, NestedGApplyInsidePgq) {
       RunPlan(&op).rows, {{Value::Int(1), Value::Int(1), Value::Int(3)},
                       {Value::Int(1), Value::Int(2), Value::Int(3)},
                       {Value::Int(2), Value::Int(1), Value::Int(4)}}));
+}
+
+// ---------------------------------------------------------------------------
+// Many small groups: the per-group-overhead extreme (Fig. 8 Q4's ~2 rows per
+// group), large enough that the hash-mode gid table doubles many times.
+// ---------------------------------------------------------------------------
+
+// Schema (a, b, seq): a two-column key with NULLs in either column, and
+// `seq` = the row's position in the input, so output order is checkable.
+Schema SmallGroupSchema() {
+  return Schema({{"a", TypeId::kInt64, "t"},
+                 {"b", TypeId::kString, "t"},
+                 {"seq", TypeId::kInt64, "t"}});
+}
+
+// `num_groups` distinct (a, b) keys of 1–3 rows each, shuffled. Some keys
+// have a NULL a, some a NULL b, one both; every key is distinct under
+// grouping equality (NULL == NULL).
+std::vector<Row> ManySmallGroupsRows(Rng* rng, int num_groups) {
+  std::vector<Row> rows;
+  for (int i = 0; i < num_groups; ++i) {
+    Value a = Value::Int(i / 2);
+    Value b = Value::Str(i % 2 == 0 ? "x" : "y");
+    if (i == 1) {
+      a = Value::Null();
+      b = Value::Null();
+    } else if (i % 7 == 0) {
+      a = Value::Null();
+      b = Value::Str("n" + std::to_string(i));
+    } else if (i % 11 == 0) {
+      a = Value::Int(-1 - i);
+      b = Value::Null();
+    }
+    const int64_t copies = rng->UniformInt(1, 3);
+    for (int64_t c = 0; c < copies; ++c) rows.push_back({a, b, Value::Null()});
+  }
+  for (size_t i = rows.size(); i > 1; --i) {
+    const size_t j =
+        static_cast<size_t>(rng->UniformInt(0, static_cast<int64_t>(i) - 1));
+    std::swap(rows[i - 1], rows[j]);
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows[i][2] = Value::Int(static_cast<int64_t>(i));
+  }
+  return rows;
+}
+
+QueryResult RunPlanWithBatchSize(PhysOp* root, size_t batch_size) {
+  ExecContext ctx;
+  ctx.set_batch_size(batch_size);
+  Result<QueryResult> r = ExecuteToVector(root, &ctx);
+  EXPECT_TRUE(r.ok()) << (r.ok() ? "" : r.status().ToString());
+  return r.ok() ? std::move(r).value() : QueryResult{};
+}
+
+TEST(GApplyTest, ManySmallGroupsMatchReferenceInBothModes) {
+  Rng rng(2024);
+  auto table =
+      MakeTable("t", SmallGroupSchema(), ManySmallGroupsRows(&rng, 6000));
+  const Schema gs = table->schema();
+  const std::vector<Row> expected = ReferenceGApply(
+      table->rows(), {0, 1}, [](const std::vector<Row>& group) {
+        int64_t sum = 0;
+        for (const Row& r : group) sum += r[2].int_val();
+        return std::vector<Row>{
+            {Value::Int(static_cast<int64_t>(group.size())),
+             Value::Int(sum)}};
+      });
+  ASSERT_GE(expected.size(), 5000u);
+
+  for (PartitionMode mode : {PartitionMode::kSort, PartitionMode::kHash}) {
+    std::vector<AggregateDesc> aggs;
+    aggs.push_back(CountStar("cnt"));
+    aggs.push_back(Sum(Col(gs, "seq"), "sum_seq"));
+    auto pgq = std::make_unique<ScalarAggOp>(
+        std::make_unique<GroupScanOp>("g", gs), std::move(aggs));
+    GApplyOp op(std::make_unique<TableScanOp>(table.get()), {0, 1}, "g",
+                std::move(pgq), mode);
+    ExecContext ctx;
+    Result<QueryResult> r = ExecuteToVector(&op, &ctx);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(SameRowMultiset(r->rows, expected))
+        << "mode=" << PartitionModeName(mode);
+    if (mode == PartitionMode::kHash) {
+      // Hash mode emits groups in first-appearance order: exactly the
+      // reference's sequence.
+      EXPECT_TRUE(SameRowSequence(r->rows, expected));
+    }
+    EXPECT_EQ(ctx.counters().pgq_executions, expected.size());
+    EXPECT_EQ(ctx.counters().group_rows_scanned, table->num_rows());
+  }
+}
+
+TEST(GApplyTest, PartitionKeepsGroupOrderAndInputOrderWithinGroups) {
+  Rng rng(77);
+  auto table =
+      MakeTable("t", SmallGroupSchema(), ManySmallGroupsRows(&rng, 5000));
+  const Schema gs = table->schema();
+  // Identity PGQ: the output is every group's member rows, key-prefixed.
+  const std::vector<Row> identity = ReferenceGApply(
+      table->rows(), {0, 1}, [](const std::vector<Row>& g) { return g; });
+
+  for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+    GApplyOp hash(std::make_unique<TableScanOp>(table.get()), {0, 1}, "g",
+                  std::make_unique<GroupScanOp>("g", gs),
+                  PartitionMode::kHash);
+    const QueryResult h = RunPlanWithBatchSize(&hash, batch_size);
+    EXPECT_TRUE(SameRowSequence(h.rows, identity))
+        << "hash mode, batch size " << batch_size;
+    // Spelled out: each group's first row appears later in the input than
+    // the previous group's, and rows within a group keep input order.
+    int64_t last_first_seq = -1;
+    for (size_t i = 0; i < h.rows.size(); ++i) {
+      const int64_t seq = h.rows[i][4].int_val();
+      const bool starts_group =
+          i == 0 || !h.rows[i][0].Equals(h.rows[i - 1][0]) ||
+          !h.rows[i][1].Equals(h.rows[i - 1][1]);
+      if (starts_group) {
+        EXPECT_GT(seq, last_first_seq) << "row " << i;
+        last_first_seq = seq;
+      } else {
+        EXPECT_GT(seq, h.rows[i - 1][4].int_val()) << "row " << i;
+      }
+    }
+
+    GApplyOp sort(std::make_unique<TableScanOp>(table.get()), {0, 1}, "g",
+                  std::make_unique<GroupScanOp>("g", gs),
+                  PartitionMode::kSort);
+    const QueryResult s = RunPlanWithBatchSize(&sort, batch_size);
+    ASSERT_EQ(s.rows.size(), identity.size());
+    EXPECT_TRUE(SameRowMultiset(s.rows, identity));
+    // Sort mode emits groups in key order; its stable sort keeps input
+    // order within each group.
+    for (size_t i = 1; i < s.rows.size(); ++i) {
+      const Row& prev = s.rows[i - 1];
+      const Row& cur = s.rows[i];
+      int cmp = CompareForSort(prev[0], cur[0]);
+      if (cmp == 0) cmp = CompareForSort(prev[1], cur[1]);
+      EXPECT_LE(cmp, 0) << "row " << i;
+      if (cmp == 0) {
+        EXPECT_LT(prev[4].int_val(), cur[4].int_val()) << "row " << i;
+      }
+    }
+  }
+}
+
+// A budget refusal that arrives mid-partition, after thousands of groups
+// are already buffered: the buffered rows are flushed in arrival order and
+// the spilled run emits exactly the unlimited run's rows, in its order.
+TEST(GApplyTest, MidPartitionSpillMatchesUnlimitedBitForBit) {
+  Rng rng(99);
+  auto table =
+      MakeTable("t", SmallGroupSchema(), ManySmallGroupsRows(&rng, 6000));
+  const Schema gs = table->schema();
+  size_t total_bytes = 0;
+  for (const Row& r : table->rows()) total_bytes += ApproxRowBytes(r);
+
+  const auto make_op = [&] {
+    return std::make_unique<GApplyOp>(
+        std::make_unique<TableScanOp>(table.get()), std::vector<int>{0, 1},
+        "g", std::make_unique<GroupScanOp>("g", gs), PartitionMode::kHash);
+  };
+  auto unlimited_op = make_op();
+  const QueryResult unlimited = RunPlan(unlimited_op.get());
+  ASSERT_EQ(unlimited.rows.size(), table->num_rows());
+
+  // 40% of the members fit: the first refusal comes after ~2,400 groups.
+  // A budget of a few rows also overflows the reloaded spill partitions, so
+  // phase 2 repartitions them (more files than the first level's 8).
+  for (const bool tiny : {false, true}) {
+    const size_t budget = tiny ? total_bytes / 2000 : total_bytes * 2 / 5;
+    MemoryTracker tracker(budget);
+    SpillManager spill("gapply_test");
+    ExecContext ctx;
+    ctx.set_memory(&tracker);
+    ctx.set_spill(&spill);
+    auto op = make_op();
+    Result<QueryResult> spilled = ExecuteToVector(op.get(), &ctx);
+    ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
+    EXPECT_GT(ctx.counters().spill_bytes, 0u) << "budget " << budget;
+    if (tiny) {
+      EXPECT_GT(ctx.counters().spill_partitions, 8u) << "no repartition";
+    }
+    EXPECT_TRUE(SameRowSequence(unlimited.rows, spilled->rows))
+        << "budget " << budget;
+    EXPECT_EQ(tracker.used(), 0u) << "reservation leaked";
+  }
 }
 
 // ---------------------------------------------------------------------------
