@@ -1,18 +1,24 @@
-// Expression-engine sweep (DESIGN.md §14): register bytecode vs. the
-// tree-walking interpreter over identical plans, three expression classes
-// at batch sizes {1, 256, 1024}:
+// Expression-engine sweep (DESIGN.md §14): register bytecode
+// (ExprProgram) vs. the tree-walking interpreter (Expr::EvalBatch /
+// EvalPredicateBatch) evaluating the same expressions over the same
+// pre-scanned batches, three expression classes at batch sizes
+// {1, 256, 1024}:
 //
-//   1. arith_heavy — Project with deep arithmetic trees (the interpreter's
-//      general batch path materializes a std::vector<Value> per operator
-//      node; the VM runs each operator over a dense register instead)
-//   2. pred_heavy  — Filter with a comparison/Kleene-logic predicate
-//   3. string_pred — Filter over string comparisons
+//   1. arith_heavy — two deep arithmetic trees (the interpreter's general
+//      batch path materializes a std::vector<Value> per operator node; the
+//      VM runs each operator over a dense register instead)
+//   2. pred_heavy  — a comparison/Kleene-logic predicate
+//   3. string_pred — a predicate over string comparisons
 //
-// Every bytecode run is validated bit-for-bit against the interpreter run
-// (same plan, same order — the engine's determinism bar). Results go to
-// stdout and BENCH_expr.json; the headline criterion is arith_heavy at
-// batch 1024 >= 1.3x over the interpreter, enforced outside smoke mode.
+// Only expression evaluation is timed: no scan, no operator, no row
+// materialization. Every bytecode result is validated bit-for-bit against
+// the interpreter's. Results go to stdout and BENCH_expr.json (with one
+// operator profile of the arith_heavy Project); the headline criterion is
+// arith_heavy at batch 1024 >= 1.3x over the interpreter, enforced outside
+// smoke mode.
 
+#include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,65 +48,151 @@ struct JsonRecord {
 std::vector<JsonRecord> g_records;
 bool g_criterion_met = true;
 
-using PlanBuilder = std::function<PhysOpPtr(ExprEngine)>;
-
-struct RunResult {
-  double ms = 0;
-  std::vector<Row> rows;
+/// One workload: expressions over a table's schema, evaluated either as
+/// values (projections) or as WHERE predicates (keep flags).
+struct Workload {
+  std::string name;
+  std::vector<ExprPtr> exprs;
+  bool predicate = false;
 };
 
-RunResult TimeRuns(const PlanBuilder& make, ExprEngine engine, int reps,
-                   size_t batch_size) {
-  RunResult result;
+/// The table's rows cut into batches of `batch_size`, once per sweep
+/// point, outside the timed region.
+std::vector<RowBatch> ScanBatches(const Table& table, size_t batch_size) {
+  std::vector<RowBatch> batches;
+  for (size_t begin = 0; begin < table.num_rows(); begin += batch_size) {
+    RowBatch batch(batch_size);
+    for (size_t i = begin; i < table.num_rows() && !batch.full(); ++i) {
+      batch.AddCopy(table.rows()[i]);
+    }
+    batches.push_back(std::move(batch));
+  }
+  return batches;
+}
+
+void Check(const Status& st) {
+  if (st.ok()) return;
+  std::fprintf(stderr, "bench evaluation failed: %s\n", st.ToString().c_str());
+  std::exit(1);
+}
+
+/// Everything one engine produced over a sweep point, for validation.
+struct Results {
+  std::vector<std::vector<Value>> values;  // projections: per expression
+  std::vector<char> keep;                  // predicates
+};
+
+bool SameResults(const Results& a, const Results& b) {
+  if (a.keep != b.keep || a.values.size() != b.values.size()) return false;
+  for (size_t e = 0; e < a.values.size(); ++e) {
+    if (a.values[e].size() != b.values[e].size()) return false;
+    for (size_t i = 0; i < a.values[e].size(); ++i) {
+      if (a.values[e][i].type() != b.values[e][i].type() ||
+          !a.values[e][i].Equals(b.values[e][i])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// Evaluates every expression of `w` over every batch with one engine:
+/// `programs` when non-null, the interpreter otherwise. Returns the rows
+/// produced (every row for projections, passing rows for predicates) and,
+/// when `collect` is non-null, appends the results there.
+size_t EvalAll(const Workload& w,
+               const std::vector<std::unique_ptr<ExprProgram>>* programs,
+               const std::vector<RowBatch>& batches, Results* collect) {
+  const EvalContext ctx;
+  std::vector<Value> values;
+  std::vector<char> keep;
+  size_t rows = 0;
+  if (collect != nullptr && !w.predicate) {
+    collect->values.resize(w.exprs.size());
+  }
+  for (const RowBatch& batch : batches) {
+    for (size_t e = 0; e < w.exprs.size(); ++e) {
+      const Expr& expr = *w.exprs[e];
+      if (w.predicate) {
+        Check(programs != nullptr
+                  ? (*programs)[e]->EvalPredicateBatch(batch, ctx, &keep)
+                  : EvalPredicateBatch(expr, batch, ctx, &keep));
+        for (const char k : keep) rows += k != 0 ? 1 : 0;
+        if (collect != nullptr) {
+          collect->keep.insert(collect->keep.end(), keep.begin(), keep.end());
+        }
+      } else {
+        Check(programs != nullptr
+                  ? (*programs)[e]->EvalBatch(batch, ctx, &values)
+                  : expr.EvalBatch(batch, ctx, &values));
+        if (collect != nullptr) {
+          collect->values[e].insert(collect->values[e].end(), values.begin(),
+                                    values.end());
+        }
+      }
+    }
+    if (!w.predicate) rows += batch.size();
+  }
+  return rows;
+}
+
+/// Best of `reps` timed passes after one warmup.
+double TimeMs(const std::function<void()>& pass, int reps) {
   double best = 1e300;
   for (int i = 0; i <= reps; ++i) {
-    PhysOpPtr op = make(engine);
-    ExecContext ctx;
-    ctx.set_batch_size(batch_size);
     const auto start = std::chrono::steady_clock::now();
-    Result<QueryResult> r = ExecuteToVector(op.get(), &ctx);
+    pass();
     const auto end = std::chrono::steady_clock::now();
-    if (!r.ok()) {
-      std::fprintf(stderr, "bench plan failed: %s\n",
-                   r.status().ToString().c_str());
-      std::exit(1);
-    }
     const double ms =
         std::chrono::duration<double, std::milli>(end - start).count();
     if (i > 0 && ms < best) best = ms;  // skip warmup
-    result.rows = std::move(r->rows);
   }
-  result.ms = best;
-  return result;
+  return best;
 }
 
-void RunSweep(const std::string& workload, const PlanBuilder& make,
-              int reps) {
-  std::printf("%s:\n", workload.c_str());
+void RunSweep(const Table& table, const Workload& w, int reps) {
+  std::printf("%s:\n", w.name.c_str());
+  std::vector<std::unique_ptr<ExprProgram>> programs;
+  for (const ExprPtr& e : w.exprs) {
+    Result<std::unique_ptr<ExprProgram>> p =
+        w.predicate ? ExprProgram::CompilePredicate(*e)
+                    : ExprProgram::Compile(*e);
+    if (!p.ok()) {
+      std::fprintf(stderr, "BENCH INVALID: %s does not compile: %s\n",
+                   w.name.c_str(), p.status().ToString().c_str());
+      std::exit(1);
+    }
+    programs.push_back(std::move(*p));
+  }
   for (size_t bs : kBatchSizes) {
-    const RunResult interp =
-        TimeRuns(make, ExprEngine::kInterpret, reps, bs);
-    const RunResult bytecode =
-        TimeRuns(make, ExprEngine::kBytecode, reps, bs);
-    if (!SameRowSequence(interp.rows, bytecode.rows)) {
+    const std::vector<RowBatch> batches = ScanBatches(table, bs);
+    Results interp_results;
+    Results bytecode_results;
+    const size_t interp_rows =
+        EvalAll(w, nullptr, batches, &interp_results);
+    const size_t bytecode_rows =
+        EvalAll(w, &programs, batches, &bytecode_results);
+    if (interp_rows != bytecode_rows ||
+        !SameResults(interp_results, bytecode_results)) {
       std::fprintf(stderr,
                    "BENCH INVALID: %s batch_size=%zu: bytecode diverges "
                    "from the interpreter (%zu vs %zu rows)\n",
-                   workload.c_str(), bs, bytecode.rows.size(),
-                   interp.rows.size());
+                   w.name.c_str(), bs, bytecode_rows, interp_rows);
       std::exit(1);
     }
-    const double speedup = interp.ms / bytecode.ms;
-    g_records.push_back({workload, "interpret", bs, interp.rows.size(),
-                         interp.ms, 1.0});
-    g_records.push_back({workload, "bytecode", bs, bytecode.rows.size(),
-                         bytecode.ms, speedup});
+    const double interp_ms =
+        TimeMs([&] { EvalAll(w, nullptr, batches, nullptr); }, reps);
+    const double bytecode_ms =
+        TimeMs([&] { EvalAll(w, &programs, batches, nullptr); }, reps);
+    const double speedup = interp_ms / bytecode_ms;
+    g_records.push_back({w.name, "interpret", bs, interp_rows, interp_ms, 1.0});
+    g_records.push_back(
+        {w.name, "bytecode", bs, bytecode_rows, bytecode_ms, speedup});
     std::printf(
         "  batch %-5zu interpret %9.3f ms   bytecode %9.3f ms   "
         "speedup %5.2fx\n",
-        bs, interp.ms, bytecode.ms, speedup);
-    if (workload == "arith_heavy" && bs == 1024 &&
-        speedup < kArithCriterion) {
+        bs, interp_ms, bytecode_ms, speedup);
+    if (w.name == "arith_heavy" && bs == 1024 && speedup < kArithCriterion) {
       std::fprintf(stderr,
                    "CRITERION MISSED: arith_heavy at batch 1024 is %.2fx, "
                    "required >= %.2fx\n",
@@ -143,17 +235,16 @@ std::unique_ptr<Table> MakeStringTable(size_t rows) {
   return table;
 }
 
-// Project with two deep arithmetic trees: ~10 operator nodes per row on
-// the interpreter, each allocating an intermediate Value vector on the
-// general batch path.
-PhysOpPtr MakeArithHeavy(const Table* table, ExprEngine engine) {
-  auto scan = std::make_unique<TableScanOp>(table);
-  const Schema s = scan->output_schema();
-  auto node = [&](BinaryOp op, ExprPtr l, ExprPtr r) {
+// Two deep arithmetic trees: ~10 operator nodes per row on the
+// interpreter, each allocating an intermediate Value vector on the general
+// batch path.
+Workload ArithHeavy(const Schema& s) {
+  auto node = [](BinaryOp op, ExprPtr l, ExprPtr r) {
     return Binary(op, std::move(l), std::move(r));
   };
+  Workload w{"arith_heavy", {}, false};
   // ((v + 7) * 3 - k) * (v - 2) + v / 3
-  ExprPtr ints = node(
+  w.exprs.push_back(node(
       BinaryOp::kAdd,
       node(BinaryOp::kMultiply,
            node(BinaryOp::kSubtract,
@@ -162,50 +253,36 @@ PhysOpPtr MakeArithHeavy(const Table* table, ExprEngine engine) {
                      Lit(int64_t{3})),
                 Col(s, "k")),
            node(BinaryOp::kSubtract, Col(s, "v"), Lit(int64_t{2}))),
-      node(BinaryOp::kDivide, Col(s, "v"), Lit(int64_t{3})));
+      node(BinaryOp::kDivide, Col(s, "v"), Lit(int64_t{3}))));
   // (d * 0.5 + d) * (d - 1.0)
-  ExprPtr doubles =
+  w.exprs.push_back(
       node(BinaryOp::kMultiply,
            node(BinaryOp::kAdd,
                 node(BinaryOp::kMultiply, Col(s, "d"), Lit(0.5)),
                 Col(s, "d")),
-           node(BinaryOp::kSubtract, Col(s, "d"), Lit(1.0)));
-  std::vector<ExprPtr> exprs;
-  exprs.push_back(std::move(ints));
-  exprs.push_back(std::move(doubles));
-  Result<PhysOpPtr> p =
-      ProjectOp::Make(std::move(scan), std::move(exprs), {"i", "x"});
-  if (!p.ok()) std::exit(1);
-  static_cast<ProjectOp*>(p->get())->set_expr_engine(engine);
-  return std::move(*p);
+           node(BinaryOp::kSubtract, Col(s, "d"), Lit(1.0))));
+  return w;
 }
 
-// Filter with a comparison/Kleene predicate:
 // (v > 250 and v < 900) or k = 5 or (d >= 10.0 and not (v = 400)).
-PhysOpPtr MakePredHeavy(const Table* table, ExprEngine engine) {
-  auto scan = std::make_unique<TableScanOp>(table);
-  const Schema s = scan->output_schema();
-  ExprPtr pred =
+Workload PredHeavy(const Schema& s) {
+  Workload w{"pred_heavy", {}, true};
+  w.exprs.push_back(
       Or(Or(And(Gt(Col(s, "v"), Lit(int64_t{250})),
                 Lt(Col(s, "v"), Lit(int64_t{900}))),
             Eq(Col(s, "k"), Lit(int64_t{5}))),
          And(Ge(Col(s, "d"), Lit(10.0)),
-             Unary(UnaryOp::kNot, Eq(Col(s, "v"), Lit(int64_t{400})))));
-  auto filter = std::make_unique<FilterOp>(std::move(scan), std::move(pred));
-  filter->set_expr_engine(engine);
-  return filter;
+             Unary(UnaryOp::kNot, Eq(Col(s, "v"), Lit(int64_t{400}))))));
+  return w;
 }
 
-// Filter over string comparisons: 'f' <= name < 't' and name != "maple_7".
-PhysOpPtr MakeStringPred(const Table* table, ExprEngine engine) {
-  auto scan = std::make_unique<TableScanOp>(table);
-  const Schema s = scan->output_schema();
-  ExprPtr pred = And(
-      And(Ge(Col(s, "name"), Lit("f")), Lt(Col(s, "name"), Lit("t"))),
-      Binary(BinaryOp::kNe, Col(s, "name"), Lit("maple_7")));
-  auto filter = std::make_unique<FilterOp>(std::move(scan), std::move(pred));
-  filter->set_expr_engine(engine);
-  return filter;
+// 'f' <= name < 't' and name != "maple_7".
+Workload StringPred(const Schema& s) {
+  Workload w{"string_pred", {}, true};
+  w.exprs.push_back(
+      And(And(Ge(Col(s, "name"), Lit("f")), Lt(Col(s, "name"), Lit("t"))),
+          Binary(BinaryOp::kNe, Col(s, "name"), Lit("maple_7"))));
+  return w;
 }
 
 void WriteJson(int reps) {
@@ -246,30 +323,22 @@ void Run() {
               numeric_rows);
 
   auto numeric = MakeNumericTable(numeric_rows);
-  RunSweep("arith_heavy",
-           [&](ExprEngine e) { return MakeArithHeavy(numeric.get(), e); },
-           reps);
-  RunSweep("pred_heavy",
-           [&](ExprEngine e) { return MakePredHeavy(numeric.get(), e); },
-           reps);
+  RunSweep(*numeric, ArithHeavy(numeric->schema()), reps);
+  RunSweep(*numeric, PredHeavy(numeric->schema()), reps);
   auto strings = MakeStringTable(string_rows);
-  RunSweep("string_pred",
-           [&](ExprEngine e) { return MakeStringPred(strings.get(), e); },
-           reps);
+  RunSweep(*strings, StringPred(strings->schema()), reps);
 
-  // Per-operator profiles at the headline batch size, one per engine, so
-  // the JSON records the expr_engine annotation end to end.
+  // One operator profile, so the JSON records the Project's expr_engine
+  // annotation end to end.
   {
-    PhysOpPtr op = MakeArithHeavy(numeric.get(), ExprEngine::kBytecode);
+    Workload arith = ArithHeavy(numeric->schema());
+    Result<PhysOpPtr> op =
+        ProjectOp::Make(std::make_unique<TableScanOp>(numeric.get()),
+                        std::move(arith.exprs), {"i", "x"});
+    if (!op.ok()) std::exit(1);
     ExecContext ctx;
     ctx.set_batch_size(1024);
-    RecordPhysProfile(op.get(), &ctx, "arith_heavy_bytecode_b1024");
-  }
-  {
-    PhysOpPtr op = MakeArithHeavy(numeric.get(), ExprEngine::kInterpret);
-    ExecContext ctx;
-    ctx.set_batch_size(1024);
-    RecordPhysProfile(op.get(), &ctx, "arith_heavy_interpret_b1024");
+    RecordPhysProfile(op->get(), &ctx, "arith_heavy_bytecode_b1024");
   }
 
   WriteJson(reps);

@@ -88,22 +88,16 @@ Status Session::ApplySetStatement(const sql::SetStatement& stmt) {
         "SET storage: value must be columnar or row, got " +
         (stmt.word.empty() ? std::to_string(stmt.value) : stmt.word));
   }
-  if (stmt.name == "expr_engine") {
-    ExprEngine engine = ExprEngine::kAuto;
-    if (!stmt.word.empty() && ParseExprEngine(stmt.word, &engine)) {
-      set_default_expr_engine(engine);
-      return Status::OK();
-    }
-    return Status::InvalidArgument(
-        "SET expr_engine: value must be bytecode, interpret, or auto, got " +
-        (stmt.word.empty() ? std::to_string(stmt.value) : stmt.word));
-  }
-  if (!stmt.word.empty()) {
-    // Every remaining knob takes an integer or on/off value.
+  // Every remaining knob takes an integer or on/off value. The name is
+  // matched first, so a retired or misspelled option reads as unknown
+  // whatever its value.
+  const auto integer_value = [&stmt]() -> Status {
+    if (stmt.word.empty()) return Status::OK();
     return Status::InvalidArgument("SET " + stmt.name +
                                    ": unexpected value " + stmt.word);
-  }
+  };
   if (stmt.name == "parallelism" || stmt.name == "gapply_parallelism") {
+    RETURN_NOT_OK(integer_value());
     if (stmt.value < 0) {
       return Status::InvalidArgument(
           "SET " + stmt.name + ": value must be >= 0, got " +
@@ -113,6 +107,7 @@ Status Session::ApplySetStatement(const sql::SetStatement& stmt) {
     return Status::OK();
   }
   if (stmt.name == "batch_size") {
+    RETURN_NOT_OK(integer_value());
     if (stmt.value < 0) {
       return Status::InvalidArgument(
           "SET batch_size: value must be >= 0, got " +
@@ -122,6 +117,7 @@ Status Session::ApplySetStatement(const sql::SetStatement& stmt) {
     return Status::OK();
   }
   if (stmt.name == "profile") {
+    RETURN_NOT_OK(integer_value());
     if (stmt.value != 0 && stmt.value != 1) {
       return Status::InvalidArgument(
           "SET profile: value must be on/off (1/0), got " +
@@ -131,6 +127,7 @@ Status Session::ApplySetStatement(const sql::SetStatement& stmt) {
     return Status::OK();
   }
   if (stmt.name == "plan_cache") {
+    RETURN_NOT_OK(integer_value());
     if (stmt.value != 0 && stmt.value != 1) {
       return Status::InvalidArgument(
           "SET plan_cache: value must be on/off (1/0), got " +
@@ -153,19 +150,15 @@ LoweringOptions Session::ResolveLowering(const QueryOptions& options) const {
   if (!lowering.columnar_storage.has_value()) {
     lowering.columnar_storage = default_columnar_storage_;
   }
-  if (lowering.expr_engine == ExprEngine::kAuto) {
-    lowering.expr_engine = default_expr_engine_;
-  }
   return lowering;
 }
 
 std::string Session::CacheFingerprint(const QueryOptions& options) const {
   // Every knob that changes what plan we would build (optimizer toggles)
-  // or how a hit would be lowered (requested DOP, storage, expression
-  // engine, partitioning) goes in; execution-only knobs (batch_size,
-  // profile) stay out. The *requested* parallelism is fingerprinted, not
-  // the admission grant: grants vary moment to moment and never change
-  // results (DESIGN.md §15).
+  // or how a hit would be lowered (requested DOP, storage, partitioning)
+  // goes in; execution-only knobs (batch_size, profile) stay out. The
+  // *requested* parallelism is fingerprinted, not the admission grant:
+  // grants vary moment to moment and never change results (DESIGN.md §15).
   const LoweringOptions lowering = ResolveLowering(options);
   std::string fp;
   fp += "gp" + std::to_string(lowering.gapply_parallelism);
@@ -174,7 +167,6 @@ std::string Session::CacheFingerprint(const QueryOptions& options) const {
   fp += ";xm" + std::to_string(lowering.exchange_morsel_rows);
   fp += ";st";
   fp += lowering.columnar_storage.value_or(true) ? '1' : '0';
-  fp += ";ee" + std::to_string(static_cast<int>(lowering.expr_engine));
   fp += ";pm";
   fp += lowering.force_partition_mode.has_value()
             ? std::to_string(static_cast<int>(*lowering.force_partition_mode))

@@ -13,16 +13,13 @@ FilterOp::FilterOp(PhysOpPtr child, ExprPtr predicate)
 
 Status FilterOp::OpenImpl(ExecContext* ctx) {
   child_batch_.Clear();
-  if (!engine_resolved_) {
-    engine_resolved_ = true;
-    if (ResolveExprEngine(expr_engine_) == ExprEngine::kBytecode) {
-      Result<std::unique_ptr<ExprProgram>> program =
-          ExprProgram::CompilePredicate(*predicate_);
-      if (program.ok()) {
-        program_ = std::move(*program);
-      } else {
-        fallback_reason_ = program.status().message();
-      }
+  if (program_ == nullptr && fallback_reason_.empty()) {
+    Result<std::unique_ptr<ExprProgram>> program =
+        ExprProgram::CompilePredicate(*predicate_);
+    if (program.ok()) {
+      program_ = std::move(*program);
+    } else {
+      fallback_reason_ = program.status().message();
     }
   }
   profile_.expr_engine = program_ != nullptr ? "bytecode" : "interpret";
@@ -61,9 +58,8 @@ std::string FilterOp::DebugName() const {
 }
 
 PhysOpPtr FilterOp::Clone() const {
-  auto clone = std::make_unique<FilterOp>(child_->Clone(), predicate_->Clone());
-  clone->expr_engine_ = expr_engine_;  // worker clones compile their own
-  return clone;
+  // Worker clones compile their own program.
+  return std::make_unique<FilterOp>(child_->Clone(), predicate_->Clone());
 }
 
 ProjectOp::ProjectOp(Schema schema, PhysOpPtr child,
@@ -87,18 +83,15 @@ Result<PhysOpPtr> ProjectOp::Make(PhysOpPtr child, std::vector<ExprPtr> exprs,
 
 Status ProjectOp::OpenImpl(ExecContext* ctx) {
   child_batch_.Clear();
-  if (!engine_resolved_) {
-    engine_resolved_ = true;
-    if (ResolveExprEngine(expr_engine_) == ExprEngine::kBytecode) {
-      programs_.resize(exprs_.size());
-      for (size_t e = 0; e < exprs_.size(); ++e) {
-        Result<std::unique_ptr<ExprProgram>> program =
-            ExprProgram::Compile(*exprs_[e]);
-        if (program.ok()) {
-          programs_[e] = std::move(*program);
-        } else if (fallback_reason_.empty()) {
-          fallback_reason_ = program.status().message();
-        }
+  if (programs_.size() != exprs_.size()) {
+    programs_.resize(exprs_.size());
+    for (size_t e = 0; e < exprs_.size(); ++e) {
+      Result<std::unique_ptr<ExprProgram>> program =
+          ExprProgram::Compile(*exprs_[e]);
+      if (program.ok()) {
+        programs_[e] = std::move(*program);
+      } else if (fallback_reason_.empty()) {
+        fallback_reason_ = program.status().message();
       }
     }
   }
@@ -127,7 +120,7 @@ Result<bool> ProjectOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   // back into rows.
   columns_.resize(exprs_.size());
   for (size_t e = 0; e < exprs_.size(); ++e) {
-    if (e < programs_.size() && programs_[e] != nullptr) {
+    if (programs_[e] != nullptr) {
       RETURN_NOT_OK(programs_[e]->EvalBatch(child_batch_, *ctx->eval(),
                                             &columns_[e]));
     } else {
@@ -163,10 +156,8 @@ PhysOpPtr ProjectOp::Clone() const {
   std::vector<ExprPtr> exprs;
   exprs.reserve(exprs_.size());
   for (const ExprPtr& e : exprs_) exprs.push_back(e->Clone());
-  auto clone = std::unique_ptr<ProjectOp>(
-      new ProjectOp(schema_, child_->Clone(), std::move(exprs)));
-  clone->expr_engine_ = expr_engine_;  // worker clones compile their own
-  return clone;
+  // Worker clones compile their own programs.
+  return PhysOpPtr(new ProjectOp(schema_, child_->Clone(), std::move(exprs)));
 }
 
 int CompareForSort(const Value& a, const Value& b) {

@@ -15,16 +15,13 @@ namespace gapply {
 
 /// Emits input rows whose predicate evaluates to TRUE (NULL rejects).
 ///
-/// The predicate runs on the configured expression engine
-/// (set_expr_engine, stamped by lowering): under bytecode it is compiled
-/// once at first Open into an ExprProgram producing keep flags
-/// column-at-a-time, falling back to the interpreter — with the compiler's
-/// reason recorded in the runtime profile — when a node is unsupported.
+/// The predicate is compiled once at first Open into an ExprProgram
+/// producing keep flags column-at-a-time. When the compiler declines it
+/// (decided by the predicate's static types), the tree interpreter runs
+/// instead, with the compiler's reason recorded in the runtime profile.
 class FilterOp : public PhysOp {
  public:
   FilterOp(PhysOpPtr child, ExprPtr predicate);
-
-  void set_expr_engine(ExprEngine engine) { expr_engine_ = engine; }
 
   Status OpenImpl(ExecContext* ctx) override;
   Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
@@ -37,10 +34,8 @@ class FilterOp : public PhysOp {
   PhysOpPtr child_;
   ExprPtr predicate_;
 
-  // Engine selection: resolved and compiled once at first Open (Apply /
-  // GApply re-open per group; the program is reusable as-is).
-  ExprEngine expr_engine_ = ExprEngine::kAuto;
-  bool engine_resolved_ = false;
+  // Compiled once at first Open (Apply / GApply re-open per group; the
+  // program is reusable as-is). Null with a non-empty reason = interpret.
   std::unique_ptr<ExprProgram> program_;
   std::string fallback_reason_;
 
@@ -52,18 +47,15 @@ class FilterOp : public PhysOp {
 
 /// Computes one output column per expression.
 ///
-/// Engine selection is per expression: under bytecode each projection is
-/// compiled independently at first Open, so a single unsupported expression
-/// falls back alone ("mixed" in the profile) instead of dragging the whole
-/// operator to the interpreter.
+/// Each projection is compiled independently at first Open, so a single
+/// expression the compiler declines falls back to the interpreter alone
+/// ("mixed" in the profile) instead of dragging the whole operator along.
 class ProjectOp : public PhysOp {
  public:
   /// Builds the output schema from the expressions' static types and
   /// `names` (same length as `exprs`).
   static Result<PhysOpPtr> Make(PhysOpPtr child, std::vector<ExprPtr> exprs,
                                 std::vector<std::string> names);
-
-  void set_expr_engine(ExprEngine engine) { expr_engine_ = engine; }
 
   Status OpenImpl(ExecContext* ctx) override;
   Result<bool> NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
@@ -78,9 +70,8 @@ class ProjectOp : public PhysOp {
   PhysOpPtr child_;
   std::vector<ExprPtr> exprs_;
 
-  // Engine selection: one program per expression (nullptr = interpret).
-  ExprEngine expr_engine_ = ExprEngine::kAuto;
-  bool engine_resolved_ = false;
+  // One program per expression (nullptr = interpret), compiled at first
+  // Open.
   std::vector<std::unique_ptr<ExprProgram>> programs_;
   std::string fallback_reason_;
 

@@ -124,10 +124,8 @@ Result<PhysOpPtr> LowerNode(const LogicalOp& node, const LoweringOptions& opts,
   switch (node.type()) {
     case LogicalOpType::kScan: {
       const auto& scan = static_cast<const LogicalScan&>(node);
-      auto op = std::make_unique<TableScanOp>(scan.table(), scan.alias());
-      op->set_use_columnar(opts.columnar_storage.value_or(true));
-      op->set_expr_engine(opts.expr_engine);
-      return PhysOpPtr(std::move(op));
+      return PhysOpPtr(
+          std::make_unique<TableScanOp>(scan.table(), scan.alias()));
     }
     case LogicalOpType::kGroupScan: {
       const auto& scan = static_cast<const LogicalGroupScan&>(node);
@@ -137,8 +135,8 @@ Result<PhysOpPtr> LowerNode(const LogicalOp& node, const LoweringOptions& opts,
     case LogicalOpType::kSelect: {
       const auto& sel = static_cast<const LogicalSelect&>(node);
       ASSIGN_OR_RETURN(PhysOpPtr child, Lower(*sel.child(0), opts, exchange_dop));
-      // Fold constant subtrees first: both expression engines then skip
-      // dead work, and a folded conjunct (`v > 1 + 1`) becomes pushable.
+      // Fold constant subtrees first: the filter then skips dead work, and
+      // a folded conjunct (`v > 1 + 1`) becomes pushable.
       ExprPtr pred = FoldConstants(sel.predicate().Clone());
       // Columnar storage: peel `col <op> const` conjuncts off a Filter
       // sitting directly on a TableScan and evaluate them inside the scan
@@ -161,17 +159,13 @@ Result<PhysOpPtr> LowerNode(const LogicalOp& node, const LoweringOptions& opts,
           if (!pushed.empty()) {
             scan->PushPredicates(std::move(pushed));
             if (residual.empty()) return child;  // Filter fully absorbed
-            auto filter = std::make_unique<FilterOp>(
-                std::move(child), CombineConjuncts(std::move(residual)));
-            filter->set_expr_engine(opts.expr_engine);
-            return PhysOpPtr(std::move(filter));
+            return PhysOpPtr(std::make_unique<FilterOp>(
+                std::move(child), CombineConjuncts(std::move(residual))));
           }
         }
       }
-      auto filter =
-          std::make_unique<FilterOp>(std::move(child), std::move(pred));
-      filter->set_expr_engine(opts.expr_engine);
-      return PhysOpPtr(std::move(filter));
+      return PhysOpPtr(
+          std::make_unique<FilterOp>(std::move(child), std::move(pred)));
     }
     case LogicalOpType::kProject: {
       const auto& proj = static_cast<const LogicalProject&>(node);
@@ -181,11 +175,8 @@ Result<PhysOpPtr> LowerNode(const LogicalOp& node, const LoweringOptions& opts,
       for (const ExprPtr& e : proj.exprs()) {
         exprs.push_back(FoldConstants(e->Clone()));
       }
-      ASSIGN_OR_RETURN(PhysOpPtr op,
-                       ProjectOp::Make(std::move(child), std::move(exprs),
-                                       proj.names()));
-      static_cast<ProjectOp*>(op.get())->set_expr_engine(opts.expr_engine);
-      return op;
+      return ProjectOp::Make(std::move(child), std::move(exprs),
+                             proj.names());
     }
     case LogicalOpType::kJoin: {
       const auto& join = static_cast<const LogicalJoin&>(node);

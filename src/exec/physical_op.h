@@ -43,10 +43,10 @@ struct OpRuntimeProfile {
   /// skipped off their zone maps vs. morsels actually read.
   uint64_t morsels_pruned = 0;
   uint64_t morsels_scanned = 0;
-  /// Expression-engine annotation (Filter / Project / predicate-bearing
-  /// TableScan): which engine evaluates this operator's expressions —
-  /// "bytecode", "interpret", or "mixed" (Project with some expressions
-  /// compiled and some declined). Empty for operators without expressions.
+  /// Expression-engine annotation (Filter / Project): which engine
+  /// evaluates this operator's expressions — "bytecode", "interpret" (the
+  /// compiler declined), or "mixed" (Project with some expressions compiled
+  /// and some declined). Empty for operators without expressions.
   std::string expr_engine;
   /// Total bytecode instructions across this operator's compiled programs.
   uint64_t expr_instructions = 0;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/exec/physical_op.h"
-#include "src/expr/bytecode.h"
 #include "src/storage/table.h"
 
 namespace gapply {
@@ -25,7 +24,8 @@ namespace gapply {
 ///    mode is columnar). The scan then (a) skips whole storage morsels
 ///    whose zone maps refute a conjunct — booked in the `morsels_pruned` /
 ///    `morsels_scanned` counters — and (b) evaluates the surviving
-///    conjuncts over the dense arrays, emitting only matching rows.
+///    conjuncts over the dense arrays with `ColumnarTable::FilterRange`,
+///    emitting only matching rows.
 /// Both paths produce bit-for-bit the same stream for the same (possibly
 /// empty) predicate set.
 ///
@@ -60,21 +60,6 @@ class TableScanOp : public PhysOp {
     return preds_;
   }
 
-  /// Records the session's storage choice on the operator (lowering gates
-  /// predicate extraction on it). Execution-wise the read path follows the
-  /// predicates alone: pushed predicates take the columnar path (the row
-  /// store cannot evaluate them), an empty set takes the row store.
-  void set_use_columnar(bool on) { use_columnar_ = on; }
-  bool use_columnar() const { return use_columnar_; }
-
-  /// Engine for the pushed-down predicate loop (stamped by lowering).
-  /// Under bytecode, Open compiles the conjuncts into an ExprProgram whose
-  /// FilterRange runs the dense-array selection loop; the interpreter path
-  /// keeps using ColumnarTable::FilterRange. Both are built from the same
-  /// CompilePredicates output, so the streams are identical by
-  /// construction.
-  void set_expr_engine(ExprEngine engine) { expr_engine_ = engine; }
-
   void EnableMorselMode() { morsel_mode_ = true; }
   bool morsel_mode() const { return morsel_mode_; }
 
@@ -95,8 +80,6 @@ class TableScanOp : public PhysOp {
   std::string alias_;
   std::vector<ScanPredicate> preds_;
   std::vector<CompiledPredicate> compiled_;  // built at Open from preds_
-  ExprEngine expr_engine_ = ExprEngine::kAuto;
-  std::unique_ptr<ExprProgram> scan_program_;  // bytecode twin of compiled_
   std::vector<uint32_t> selection_;          // scratch for FilterRange
   size_t pos_ = 0;
   size_t end_ = 0;
@@ -104,7 +87,6 @@ class TableScanOp : public PhysOp {
   /// `pos_ >= chunk_end_` means the next chunk still needs its zone-map
   /// check. Reset by Open/SetMorsel.
   size_t chunk_end_ = 0;
-  bool use_columnar_ = true;
   bool morsel_mode_ = false;
 };
 

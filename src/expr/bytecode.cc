@@ -1,8 +1,6 @@
 #include "src/expr/bytecode.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 namespace gapply {
 
@@ -75,46 +73,6 @@ const char* CmpName(CmpOp op) {
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Engine selection
-// ---------------------------------------------------------------------------
-
-const char* ExprEngineName(ExprEngine engine) {
-  switch (engine) {
-    case ExprEngine::kAuto:
-      return "auto";
-    case ExprEngine::kInterpret:
-      return "interpret";
-    case ExprEngine::kBytecode:
-      return "bytecode";
-  }
-  return "?";
-}
-
-bool ParseExprEngine(const std::string& word, ExprEngine* out) {
-  if (word == "auto") {
-    *out = ExprEngine::kAuto;
-  } else if (word == "interpret") {
-    *out = ExprEngine::kInterpret;
-  } else if (word == "bytecode") {
-    *out = ExprEngine::kBytecode;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-ExprEngine ResolveExprEngine(ExprEngine engine) {
-  if (engine != ExprEngine::kAuto) return engine;
-  if (const char* env = std::getenv("GAPPLY_EXPR_ENGINE")) {
-    ExprEngine parsed = ExprEngine::kAuto;
-    if (ParseExprEngine(env, &parsed) && parsed != ExprEngine::kAuto) {
-      return parsed;
-    }
-  }
-  return ExprEngine::kBytecode;
-}
 
 // ---------------------------------------------------------------------------
 // Compiler
@@ -472,100 +430,12 @@ Result<std::unique_ptr<ExprProgram>> ExprProgram::CompilePredicate(
   return Compile(pred);
 }
 
-Result<std::unique_ptr<ExprProgram>> ExprProgram::CompileScanPredicates(
-    const ColumnarTable& table, const std::vector<ScanPredicate>& preds) {
-  std::unique_ptr<ExprProgram> p(new ExprProgram());
-  p->table_ = &table;
-  std::vector<CompiledPredicate> compiled = table.CompilePredicates(preds);
-  for (CompiledPredicate& cp : compiled) {
-    const ColumnVector& col = table.column(static_cast<size_t>(cp.column));
-    const auto load = [&](RegType rt, TypeId vt) {
-      const uint16_t dst = p->AllocRegister(rt, vt);
-      p->regs_[dst].view = true;
-      Instr in;
-      in.op = OpCode::kLoadColView;
-      in.dst = dst;
-      in.imm = cp.column;
-      p->instrs_.push_back(in);
-      return dst;
-    };
-    uint16_t dst = 0;
-    switch (cp.kind) {
-      case CompiledPredicate::Kind::kInt: {
-        const uint16_t c = load(RegType::kI64, col.type());
-        const uint16_t lit = p->AllocConst(Value::Int(cp.i64));
-        dst = p->AllocRegister(RegType::kI64, TypeId::kBool);
-        Instr in;
-        in.op = OpCode::kCmpI;
-        in.cmp = cp.op;
-        in.dst = dst;
-        in.a = c;
-        in.b = lit;
-        p->instrs_.push_back(in);
-        break;
-      }
-      case CompiledPredicate::Kind::kIntAsDouble: {
-        const uint16_t c = load(RegType::kI64, col.type());
-        const uint16_t cd = p->AllocRegister(RegType::kF64, TypeId::kDouble);
-        {
-          Instr in;
-          in.op = OpCode::kCastIToD;
-          in.dst = cd;
-          in.a = c;
-          p->instrs_.push_back(in);
-        }
-        const uint16_t lit = p->AllocConst(Value::Double(cp.f64));
-        dst = p->AllocRegister(RegType::kI64, TypeId::kBool);
-        Instr in;
-        in.op = OpCode::kCmpD;
-        in.cmp = cp.op;
-        in.dst = dst;
-        in.a = cd;
-        in.b = lit;
-        p->instrs_.push_back(in);
-        break;
-      }
-      case CompiledPredicate::Kind::kDouble: {
-        const uint16_t c = load(RegType::kF64, col.type());
-        const uint16_t lit = p->AllocConst(Value::Double(cp.f64));
-        dst = p->AllocRegister(RegType::kI64, TypeId::kBool);
-        Instr in;
-        in.op = OpCode::kCmpD;
-        in.cmp = cp.op;
-        in.dst = dst;
-        in.a = c;
-        in.b = lit;
-        p->instrs_.push_back(in);
-        break;
-      }
-      case CompiledPredicate::Kind::kString: {
-        const uint16_t c = load(RegType::kCode, col.type());
-        p->aux_.push_back(std::move(cp.dict_match));
-        dst = p->AllocRegister(RegType::kI64, TypeId::kBool);
-        Instr in;
-        in.op = OpCode::kCmpCode;
-        in.dst = dst;
-        in.a = c;
-        in.imm2 = static_cast<int32_t>(p->aux_.size() - 1);
-        p->instrs_.push_back(in);
-        break;
-      }
-    }
-    p->pred_regs_.push_back(dst);
-  }
-  return p;
-}
-
 // ---------------------------------------------------------------------------
 // Execution
 // ---------------------------------------------------------------------------
 
 void ExprProgram::BindScratch(size_t n) {
   for (Register& r : regs_) {
-    if (r.view) {
-      r.stride = 1;  // the rest is bound by kLoadColView at run time
-      continue;
-    }
     if (r.scalar) {
       if (r.i64.empty()) r.i64.resize(1);
       if (r.f64.empty()) r.f64.resize(1);
@@ -593,8 +463,6 @@ void ExprProgram::BindScratch(size_t n) {
         r.str.resize(n);
         r.ps = r.str.data();
         break;
-      case RegType::kCode:
-        break;  // codes only ever come from columnar views
     }
     r.null.resize(n);
     r.pn = r.null.data();
@@ -602,8 +470,8 @@ void ExprProgram::BindScratch(size_t n) {
   }
 }
 
-Status ExprProgram::Run(const RowBatch* batch, const EvalContext* ctx,
-                        size_t n) {
+Status ExprProgram::Run(const RowBatch& batch, const EvalContext& ctx) {
+  const size_t n = batch.size();
   for (const Instr& in : instrs_) {
     Register& d = regs_[in.dst];
     const Register& A = regs_[in.a];
@@ -615,7 +483,7 @@ Status ExprProgram::Run(const RowBatch* batch, const EvalContext* ctx,
         double* df = d.f64.data();
         uint8_t* dn = d.null.data();
         for (size_t i = 0; i < n; ++i) {
-          const Row& row = (*batch)[i];
+          const Row& row = batch[i];
           if (col < 0 || static_cast<size_t>(col) >= row.size()) {
             return Status::Internal("column index " + std::to_string(col) +
                                     " out of range for row of arity " +
@@ -657,13 +525,13 @@ Status ExprProgram::Run(const RowBatch* batch, const EvalContext* ctx,
         const int depth = in.imm;
         const int index = in.imm2;
         if (depth < 0 ||
-            static_cast<size_t>(depth) >= ctx->outer_rows.size()) {
+            static_cast<size_t>(depth) >= ctx.outer_rows.size()) {
           return Status::Internal(
               "correlated reference depth " + std::to_string(depth) +
               " exceeds outer-row stack of size " +
-              std::to_string(ctx->outer_rows.size()));
+              std::to_string(ctx.outer_rows.size()));
         }
-        const Row* outer = ctx->outer_rows[ctx->outer_rows.size() - 1 -
+        const Row* outer = ctx.outer_rows[ctx.outer_rows.size() - 1 -
                                            static_cast<size_t>(depth)];
         if (index < 0 || static_cast<size_t>(index) >= outer->size()) {
           return Status::Internal("correlated column index out of range");
@@ -695,32 +563,6 @@ Status ExprProgram::Run(const RowBatch* batch, const EvalContext* ctx,
           default:
             return Status::Internal("bytecode: bad load type");
         }
-        break;
-      }
-
-      case OpCode::kLoadColView: {
-        const ColumnVector& col =
-            table_->column(static_cast<size_t>(in.imm));
-        d.pn = col.nulls().empty() ? nullptr
-                                   : col.nulls().data() + range_begin_;
-        switch (d.rtype) {
-          case RegType::kI64:
-            d.pi = col.ints().empty() ? nullptr
-                                      : col.ints().data() + range_begin_;
-            break;
-          case RegType::kF64:
-            d.pd = col.doubles().empty()
-                       ? nullptr
-                       : col.doubles().data() + range_begin_;
-            break;
-          case RegType::kCode:
-            d.pc = col.codes().empty() ? nullptr
-                                       : col.codes().data() + range_begin_;
-            break;
-          case RegType::kStr:
-            return Status::Internal("bytecode: string column view");
-        }
-        d.stride = 1;
         break;
       }
 
@@ -846,18 +688,6 @@ Status ExprProgram::Run(const RowBatch* batch, const EvalContext* ctx,
         break;
       }
 
-      case OpCode::kCmpCode: {
-        const uint8_t* match = aux_[static_cast<size_t>(in.imm2)].data();
-        int64_t* dv = d.i64.data();
-        uint8_t* dn = d.null.data();
-        for (size_t i = 0; i < n; ++i) {
-          const uint8_t nul = A.pn[i * A.stride];
-          dn[i] = nul;
-          if (!nul) dv[i] = match[A.pc[i * A.stride]] ? 1 : 0;
-        }
-        break;
-      }
-
       case OpCode::kAnd: {
         int64_t* dv = d.i64.data();
         uint8_t* dn = d.null.data();
@@ -942,7 +772,7 @@ Status ExprProgram::EvalBatch(const RowBatch& batch, const EvalContext& ctx,
   const size_t n = batch.size();
   out->clear();
   BindScratch(n);
-  RETURN_NOT_OK(Run(&batch, &ctx, n));
+  RETURN_NOT_OK(Run(batch, ctx));
   out->reserve(n);
   const Register& r = regs_[result_reg_];
   for (size_t i = 0; i < n; ++i) {
@@ -976,44 +806,13 @@ Status ExprProgram::EvalPredicateBatch(const RowBatch& batch,
   const size_t n = batch.size();
   keep->clear();
   BindScratch(n);
-  RETURN_NOT_OK(Run(&batch, &ctx, n));
+  RETURN_NOT_OK(Run(batch, ctx));
   keep->resize(n);
   const Register& r = regs_[result_reg_];
   for (size_t i = 0; i < n; ++i) {
     // SQL WHERE: NULL rejects, so only a non-NULL true keeps the row.
     (*keep)[i] =
         (!r.pn[i * r.stride] && r.pi[i * r.stride] != 0) ? 1 : 0;
-  }
-  return Status::OK();
-}
-
-Status ExprProgram::FilterRange(size_t begin, size_t end,
-                                std::vector<uint32_t>* selection) {
-  if (table_ == nullptr) {
-    return Status::Internal("bytecode: FilterRange on a non-scan program");
-  }
-  end = std::min(end, table_->num_rows());
-  if (begin >= end) return Status::OK();
-  const size_t n = end - begin;
-  range_begin_ = begin;
-  BindScratch(n);
-  RETURN_NOT_OK(Run(nullptr, nullptr, n));
-  if (pred_regs_.empty()) {
-    for (size_t i = 0; i < n; ++i) {
-      selection->push_back(static_cast<uint32_t>(begin + i));
-    }
-    return Status::OK();
-  }
-  for (size_t i = 0; i < n; ++i) {
-    bool pass = true;
-    for (const uint16_t pr : pred_regs_) {
-      const Register& r = regs_[pr];
-      if (r.pn[i * r.stride] || r.pi[i * r.stride] == 0) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) selection->push_back(static_cast<uint32_t>(begin + i));
   }
   return Status::OK();
 }
@@ -1030,10 +829,6 @@ std::string ExprProgram::ToString() const {
       case OpCode::kLoadOuter:
         std::snprintf(buf, sizeof(buf), "r%u <- loadouter depth=%d idx=%d",
                       in.dst, in.imm, in.imm2);
-        break;
-      case OpCode::kLoadColView:
-        std::snprintf(buf, sizeof(buf), "r%u <- loadview col[%d]", in.dst,
-                      in.imm);
         break;
       case OpCode::kCastIToD:
         std::snprintf(buf, sizeof(buf), "r%u <- cast.i2d r%u", in.dst, in.a);
@@ -1091,10 +886,6 @@ std::string ExprProgram::ToString() const {
       case OpCode::kCmpS:
         std::snprintf(buf, sizeof(buf), "r%u <- cmp.%s.str r%u r%u", in.dst,
                       CmpName(in.cmp), in.a, in.b);
-        break;
-      case OpCode::kCmpCode:
-        std::snprintf(buf, sizeof(buf), "r%u <- dictmatch r%u aux[%d]",
-                      in.dst, in.a, in.imm2);
         break;
       case OpCode::kAnd:
         std::snprintf(buf, sizeof(buf), "r%u <- and r%u r%u", in.dst, in.a,

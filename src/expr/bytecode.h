@@ -10,42 +10,16 @@
 #include "src/common/row_batch.h"
 #include "src/common/value.h"
 #include "src/expr/expr.h"
-#include "src/storage/columnar.h"
 
 namespace gapply {
-
-/// Which evaluator a Filter / Project / scan-predicate path uses
-/// (DESIGN.md §14). Selected per session with `SET expr_engine =
-/// bytecode|interpret|auto` and per plan via LoweringOptions::expr_engine.
-enum class ExprEngine {
-  /// Resolve at operator Open: the GAPPLY_EXPR_ENGINE environment variable
-  /// ("bytecode"/"interpret") when set, otherwise bytecode.
-  kAuto,
-  /// Tree-walking interpreter (Expr::EvalBatch), the seed behavior.
-  kInterpret,
-  /// Register-based bytecode compiled once at Open, executed
-  /// column-at-a-time; falls back to the interpreter per expression when
-  /// compilation declines a node.
-  kBytecode,
-};
-
-const char* ExprEngineName(ExprEngine engine);
-
-/// Parses "auto" / "interpret" / "bytecode"; false on anything else.
-bool ParseExprEngine(const std::string& word, ExprEngine* out);
-
-/// Resolves kAuto against the GAPPLY_EXPR_ENGINE environment variable
-/// (the CI matrix knob); unset or unrecognized resolves to kBytecode.
-/// Non-auto values pass through unchanged.
-ExprEngine ResolveExprEngine(ExprEngine engine);
 
 /// \brief A bound Expr tree flattened into linear register-based bytecode,
 /// executed column-at-a-time over a whole batch per instruction.
 ///
 /// Registers are typed vectors (int64 doubles as bool 0/1, double, borrowed
-/// string pointers, dictionary codes) paired with a byte-per-row NULL mask;
-/// constants and correlated outer values are stride-0 scalar registers
-/// broadcast over the batch. Instructions are emitted in post-order
+/// string pointers) paired with a byte-per-row NULL mask; constants and
+/// correlated outer values are stride-0 scalar registers broadcast over the
+/// batch. Instructions are emitted in post-order
 /// (left subtree, right subtree, combine), matching the order the tree
 /// interpreter's general batch path evaluates — and therefore surfacing
 /// runtime errors ("division by zero", "modulo by zero") identically.
@@ -72,13 +46,6 @@ class ExprProgram {
   static Result<std::unique_ptr<ExprProgram>> CompilePredicate(
       const Expr& pred);
 
-  /// Compiles pushed-down scan conjuncts against `table`'s dense columnar
-  /// representation (dictionary string predicates become per-code match
-  /// tables). The program then filters row ranges without touching Value.
-  /// `table` must outlive the program.
-  static Result<std::unique_ptr<ExprProgram>> CompileScanPredicates(
-      const ColumnarTable& table, const std::vector<ScanPredicate>& preds);
-
   /// Evaluates over every row of `batch`, filling `*out` (cleared first)
   /// with one Value per row — the bytecode twin of Expr::EvalBatch.
   Status EvalBatch(const RowBatch& batch, const EvalContext& ctx,
@@ -89,13 +56,6 @@ class ExprProgram {
   Status EvalPredicateBatch(const RowBatch& batch, const EvalContext& ctx,
                             std::vector<char>* keep);
 
-  /// Scan-program form: evaluates the compiled conjuncts over rows
-  /// [begin, end) of the bound columnar table and appends passing row
-  /// indexes to `*selection` (not cleared) — the bytecode twin of
-  /// ColumnarTable::FilterRange.
-  Status FilterRange(size_t begin, size_t end,
-                     std::vector<uint32_t>* selection);
-
   size_t num_instructions() const { return instrs_.size(); }
 
   /// One instruction per line, e.g. "r2 <- cmp.gt.i64 r0 r1" — for tests
@@ -104,9 +64,8 @@ class ExprProgram {
 
  private:
   enum class OpCode : uint8_t {
-    kLoadCol,      // row binding: dst <- batch column [imm]
-    kLoadOuter,    // dst <- outer_rows[depth=imm][index=imm2], broadcast
-    kLoadColView,  // columnar binding: dst views column [imm] over range
+    kLoadCol,    // dst <- batch column [imm]
+    kLoadOuter,  // dst <- outer_rows[depth=imm][index=imm2], broadcast
     kCastIToD,
     kAddI,
     kSubI,
@@ -122,7 +81,6 @@ class ExprProgram {
     kCmpI,   // also bool-vs-bool (bools live in i64 registers as 0/1)
     kCmpD,
     kCmpS,
-    kCmpCode,  // dictionary codes vs per-code match table aux_[imm2]
     kAnd,
     kOr,
     kNot,
@@ -131,7 +89,7 @@ class ExprProgram {
   };
 
   /// How value registers are stored/viewed. Bool shares kI64 (0/1).
-  enum class RegType : uint8_t { kI64, kF64, kStr, kCode };
+  enum class RegType : uint8_t { kI64, kF64, kStr };
 
   struct Instr {
     OpCode op;
@@ -140,7 +98,7 @@ class ExprProgram {
     uint16_t a = 0;
     uint16_t b = 0;
     int32_t imm = 0;   // column index / outer depth
-    int32_t imm2 = 0;  // outer index / aux table index
+    int32_t imm2 = 0;  // outer index
   };
 
   /// A typed register: owned storage for loads and instruction results,
@@ -154,9 +112,6 @@ class ExprProgram {
     /// Scalar register: storage holds one element, views are stride 0.
     /// Filled at compile time for constants, per execution for outer refs.
     bool scalar = false;
-    /// Columnar view register: no owned storage; kLoadColView points the
-    /// views straight at the table's dense arrays for the bound range.
-    bool view = false;
 
     std::vector<int64_t> i64;
     std::vector<double> f64;
@@ -167,7 +122,6 @@ class ExprProgram {
     const int64_t* pi = nullptr;
     const double* pd = nullptr;
     const std::string* const* ps = nullptr;
-    const uint32_t* pc = nullptr;
     const uint8_t* pn = nullptr;
     size_t stride = 1;
   };
@@ -185,23 +139,15 @@ class ExprProgram {
   /// Points every scratch register's views at its (resized) owned storage
   /// and every scalar register's views at its element 0.
   void BindScratch(size_t n);
-  /// Executes all instructions over `n` rows; inputs must be bound.
-  Status Run(const RowBatch* batch, const EvalContext* ctx, size_t n);
+  /// Executes all instructions over every row of `batch`; scratch must be
+  /// bound to `batch.size()` rows.
+  Status Run(const RowBatch& batch, const EvalContext& ctx);
 
   std::vector<Instr> instrs_;
   std::vector<Register> regs_;
-  /// Per-code dictionary match tables for kCmpCode.
-  std::vector<std::vector<uint8_t>> aux_;
   /// Result register of Compile()/CompilePredicate() programs.
   uint16_t result_reg_ = 0;
   TypeId result_type_ = TypeId::kNull;
-  /// Result registers of CompileScanPredicates() programs (one per
-  /// conjunct; a row passes iff every one is non-NULL true).
-  std::vector<uint16_t> pred_regs_;
-  /// Columnar binding (scan programs): the table whose dense arrays
-  /// kLoadColView borrows, and the range bound by FilterRange.
-  const ColumnarTable* table_ = nullptr;
-  size_t range_begin_ = 0;
 };
 
 }  // namespace gapply

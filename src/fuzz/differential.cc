@@ -10,6 +10,7 @@
 #include "src/exec/exec_context.h"
 #include "src/exec/gapply_op.h"
 #include "src/exec/profile.h"
+#include "src/fuzz/expr_oracle.h"
 
 namespace gapply::fuzz {
 
@@ -64,10 +65,6 @@ std::string ExecSpec::Key() const {
   key += !lowering.columnar_storage.has_value() ? "d"
          : *lowering.columnar_storage          ? "c"
                                                : "r";
-  key += ";ee=";
-  key += lowering.expr_engine == ExprEngine::kAuto       ? "a"
-         : lowering.expr_engine == ExprEngine::kBytecode ? "b"
-                                                         : "i";
   key += ";b=" + std::to_string(batch_size);
   if (profile) key += ";prof";
   if (memory_budget > 0) key += ";mb=" + std::to_string(memory_budget);
@@ -152,35 +149,12 @@ std::vector<OraclePair> BuildOracleMatrix(const OracleMatrixOptions& options) {
     }
   }
 
-  // Expression-engine oracle: the bytecode VM promises bit-for-bit identity
-  // with the tree-walking interpreter — result rows AND error messages —
-  // at any DOP × batch size, so every pair is a sequence compare over
-  // otherwise identical specs (DESIGN.md §14).
-  for (size_t b : {size_t{1}, size_t{1024}}) {
-    for (size_t dop : {size_t{1}, size_t{8}}) {
-      ExecSpec interp = parallel_spec(dop, b);
-      interp.name += ",engine=interpret";
-      interp.lowering.expr_engine = ExprEngine::kInterpret;
-      ExecSpec bytecode = parallel_spec(dop, b);
-      bytecode.name += ",engine=bytecode";
-      bytecode.lowering.expr_engine = ExprEngine::kBytecode;
-      oracles.push_back({"exec:bytecode-vs-interpret,dop=" +
-                             std::to_string(dop) +
-                             ",batch=" + std::to_string(b),
-                         interp, bytecode, CompareMode::kSequence});
-    }
-  }
-
-  // Optimized variant: pushdown rewrites move conjuncts into the scan, so
-  // this pair exercises the scan-predicate bytecode path too.
-  ExecSpec full_interp = full;
-  full_interp.name = "optimizer:full,engine=interpret";
-  full_interp.lowering.expr_engine = ExprEngine::kInterpret;
-  ExecSpec full_bytecode = full;
-  full_bytecode.name = "optimizer:full,engine=bytecode";
-  full_bytecode.lowering.expr_engine = ExprEngine::kBytecode;
-  oracles.push_back({"exec:bytecode-vs-interpret-optimized", full_interp,
-                     full_bytecode, CompareMode::kSequence});
+  // Expression-engine oracle: the bytecode VM promises bit-for-bit
+  // identity with the tree-walking interpreter — values AND error messages
+  // (DESIGN.md §14). Checked per expression over the raw plan and the
+  // fully optimized one, whose rewrites build expressions of their own.
+  oracles.push_back({"expr:bytecode-vs-interpret", base, full,
+                     CompareMode::kExprEngines});
 
   for (PartitionMode mode : {PartitionMode::kSort, PartitionMode::kHash}) {
     ExecSpec s = base;
@@ -269,13 +243,24 @@ std::vector<OraclePair> BuildOracleMatrix(const OracleMatrixOptions& options) {
   return oracles;
 }
 
+namespace {
+
+/// Clones `plan` and, when `spec` optimizes, runs its optimizer over it.
+Result<LogicalOpPtr> PreparePlan(const LogicalOp& plan, const Catalog& catalog,
+                                 const StatsManager& stats,
+                                 const ExecSpec& spec) {
+  LogicalOpPtr working = plan.Clone();
+  if (!spec.optimize) return working;
+  Optimizer optimizer(&catalog, &stats, spec.opt);
+  return optimizer.Optimize(std::move(working));
+}
+
+}  // namespace
+
 Result<QueryResult> RunSpec(const LogicalOp& plan, const Catalog& catalog,
                             const StatsManager& stats, const ExecSpec& spec) {
-  LogicalOpPtr working = plan.Clone();
-  if (spec.optimize) {
-    Optimizer optimizer(&catalog, &stats, spec.opt);
-    ASSIGN_OR_RETURN(working, optimizer.Optimize(std::move(working)));
-  }
+  ASSIGN_OR_RETURN(LogicalOpPtr working,
+                   PreparePlan(plan, catalog, stats, spec));
   ASSIGN_OR_RETURN(PhysOpPtr phys, LowerPlan(*working, spec.lowering));
   // No shared thread pool: parallel operators fall back to transient
   // pools, which keeps specs fully independent of each other.
@@ -315,6 +300,18 @@ Result<std::vector<Mismatch>> RunOracles(
 
   std::vector<Mismatch> mismatches;
   for (const OraclePair& oracle : oracles) {
+    if (oracle.mode == CompareMode::kExprEngines) {
+      for (const ExecSpec* spec : {&oracle.baseline, &oracle.candidate}) {
+        // An optimizer failure is the plan-level oracles' to report.
+        Result<LogicalOpPtr> working = PreparePlan(plan, catalog, stats, *spec);
+        if (!working.ok()) continue;
+        std::string detail = CheckExprEngines(**working, catalog);
+        if (detail.empty()) continue;
+        mismatches.push_back({oracle.name, spec->name + ": " + detail});
+        break;
+      }
+      continue;
+    }
     const Result<QueryResult>& base = run(oracle.baseline);
     const Result<QueryResult>& cand = run(oracle.candidate);
     if (!base.ok() || !cand.ok()) {

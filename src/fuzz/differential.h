@@ -46,7 +46,11 @@ struct ExecSpec {
 ///    bar — e.g. changing DOP must not change anything).
 ///  - kMultiset: equal as multisets (the bar for cross-plan rewrites and
 ///    physical-strategy swaps, where row order is unspecified).
-enum class CompareMode { kSequence, kMultiset };
+///  - kExprEngines: an expression-level oracle; neither spec executes.
+///    The plan as each spec prepares it (optimized when the spec
+///    optimizes) goes through CheckExprEngines (expr_oracle.h): bytecode
+///    and interpreter must agree on every Select and Project expression.
+enum class CompareMode { kSequence, kMultiset, kExprEngines };
 
 /// One differential oracle: run both specs over the same logical plan and
 /// compare.
@@ -70,9 +74,10 @@ struct OracleMatrixOptions {
 };
 
 /// The full oracle matrix: per-rule opt-vs-unopt, full optimizer (gated
-/// and ungated), batch-size sweep (raw and optimized), DOP×batch, sort-vs-hash
-/// GApply partitioning, hash-vs-stream aggregation, and tiny-budget
-/// spill-vs-unlimited (serial and parallel).
+/// and ungated), batch-size sweep (raw and optimized), DOP×batch,
+/// bytecode-vs-interpreter expressions, sort-vs-hash GApply partitioning,
+/// hash-vs-stream aggregation, columnar-vs-row storage, profiling, and
+/// tiny-budget spill-vs-unlimited (serial and parallel).
 std::vector<OraclePair> BuildOracleMatrix(const OracleMatrixOptions& options);
 
 /// One oracle disagreement, with enough context to read the failure

@@ -309,14 +309,6 @@ void ColumnarTable::FilterRange(size_t begin, size_t end,
   }
 }
 
-bool ColumnarTable::RowMatches(
-    size_t i, const std::vector<CompiledPredicate>& preds) const {
-  for (const CompiledPredicate& p : preds) {
-    if (!TestOne(columns_[static_cast<size_t>(p.column)], p, i)) return false;
-  }
-  return true;
-}
-
 void ColumnarTable::MaterializeRow(size_t i, Row* row) const {
   row->clear();
   row->reserve(columns_.size());

@@ -160,11 +160,6 @@ class ColumnarTable {
                    const std::vector<CompiledPredicate>& preds,
                    std::vector<uint32_t>* selection) const;
 
-  /// True iff row `i` satisfies every compiled predicate; NULL rejects.
-  /// Row-at-a-time twin of FilterRange.
-  bool RowMatches(size_t i,
-                  const std::vector<CompiledPredicate>& preds) const;
-
   /// Rematerializes row `i` into `*row` (cleared first) from the dense
   /// arrays.
   void MaterializeRow(size_t i, Row* row) const;

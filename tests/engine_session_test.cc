@@ -249,8 +249,7 @@ std::vector<std::string> MakeSchedule(int s) {
                      " as select ps_suppkey, sum(ps_availqty) from partsupp "
                      "group by ps_suppkey order by ps_suppkey");
   schedule.push_back("execute " + name);
-  schedule.push_back(s % 2 == 0 ? "set storage = row"
-                                : "set expr_engine = interpret");
+  if (s % 2 == 0) schedule.push_back("set storage = row");
   schedule.push_back("select gapply(select count(*) from g) "
                      "from partsupp group by ps_suppkey : g");
   schedule.push_back("set batch_size = " + std::to_string(1 + (s * 7) % 64));

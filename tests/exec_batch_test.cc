@@ -783,11 +783,10 @@ class ColumnarStorageTest : public ::testing::Test {
     table_ = MakeTable("t", MixedSchema(), MixedRows(&rng, 2000, 0.1));
   }
 
-  /// Row-store baseline: scan with the columnar path off, predicates (if
-  /// any) evaluated by an ordinary FilterOp above it.
+  /// Row-store baseline: a scan with nothing pushed reads the row store;
+  /// predicates (if any) are evaluated by an ordinary FilterOp above it.
   PhysOpPtr RowStorePlan(const std::vector<ScanPredicate>& preds) {
     auto scan = std::make_unique<TableScanOp>(table_.get());
-    scan->set_use_columnar(false);
     if (preds.empty()) return scan;
     ExprPtr pred = PredsToExpr(scan->output_schema(), preds);
     return std::make_unique<FilterOp>(std::move(scan), std::move(pred));
@@ -892,7 +891,6 @@ TEST_F(ColumnarStorageTest, PushedPredicatesUnderResidualFilter) {
   };
 
   auto row_scan = std::make_unique<TableScanOp>(table_.get());
-  row_scan->set_use_columnar(false);
   const Schema s = row_scan->output_schema();
   auto baseline = std::make_unique<FilterOp>(
       std::move(row_scan),
@@ -919,7 +917,6 @@ TEST(ColumnarStorageEdgeTest, NullHeavyTable) {
   };
   for (const auto& preds : pred_sets) {
     auto row_scan = std::make_unique<TableScanOp>(table.get());
-    row_scan->set_use_columnar(false);
     auto baseline = std::make_unique<FilterOp>(
         std::move(row_scan), PredsToExpr(table->schema(), preds));
     const std::vector<Row> expected = RunBatchPath(baseline.get(), 1024);
@@ -944,7 +941,6 @@ TEST(ColumnarStorageEdgeTest, AllStringTable) {
       {0, value_ops::CmpOp::kGe, Value::Str("y")},
       {1, value_ops::CmpOp::kNe, Value::Str("w")}};
   auto row_scan = std::make_unique<TableScanOp>(table.get());
-  row_scan->set_use_columnar(false);
   auto baseline = std::make_unique<FilterOp>(std::move(row_scan),
                                              PredsToExpr(schema, preds));
   const std::vector<Row> expected = RunBatchPath(baseline.get(), 1024);
@@ -990,7 +986,6 @@ TEST(ColumnarStorageEdgeTest, PruningInsideExchangeMorselDriver) {
        Value::Int(static_cast<int64_t>(n) - 50)}};
 
   auto row_scan = std::make_unique<TableScanOp>(table.get());
-  row_scan->set_use_columnar(false);
   auto baseline = std::make_unique<FilterOp>(std::move(row_scan),
                                              PredsToExpr(schema, preds));
   const std::vector<Row> expected = RunBatchPath(baseline.get(), 1024);

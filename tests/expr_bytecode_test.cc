@@ -1,9 +1,9 @@
 // Tests for the register-bytecode expression engine (DESIGN.md §14): the
 // program must be bit-for-bit identical to the tree interpreter — values,
 // NULL masks, and error messages — the compiler must decline exactly the
-// value-dependent-type-error shapes, scan programs must reproduce
-// ColumnarTable::FilterRange, constant folding must preserve semantics,
-// and the `SET expr_engine` knob must reach the lowered operators.
+// value-dependent-type-error shapes, Filter and Project must fall back to
+// the interpreter per expression where it declines, and constant folding
+// must preserve semantics.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "src/exec/scan_ops.h"
 #include "src/expr/bytecode.h"
 #include "src/expr/expr.h"
-#include "src/storage/columnar.h"
 #include "tests/test_util.h"
 
 namespace gapply {
@@ -260,54 +259,6 @@ TEST(BytecodeCompileTest, ToStringDisassembles) {
   EXPECT_EQ(prog->num_instructions(), 6u) << text;
 }
 
-TEST(BytecodeScanProgramTest, MatchesColumnarFilterRange) {
-  Schema schema({{"v", TypeId::kInt64, "t"},
-                 {"d", TypeId::kDouble, "t"},
-                 {"name", TypeId::kString, "t"}});
-  Rng rng(11);
-  std::vector<Row> rows;
-  const char* names[] = {"ann", "bob", "cat", "dee"};
-  for (int i = 0; i < 500; ++i) {
-    Row row;
-    row.push_back(rng.Bernoulli(0.1) ? Value::Null()
-                                     : Value::Int(rng.UniformInt(0, 100)));
-    row.push_back(Value::Double(rng.UniformDouble(0.0, 1000.0)));
-    row.push_back(rng.Bernoulli(0.1) ? Value::Null()
-                                     : Value::Str(names[rng.UniformInt(0, 3)]));
-    rows.push_back(std::move(row));
-  }
-  auto table = MakeTable("t", schema, std::move(rows));
-  const ColumnarTable& ct = table->columnar();
-
-  std::vector<std::vector<ScanPredicate>> pred_sets = {
-      {{0, value_ops::CmpOp::kGt, Value::Int(50)}},
-      {{1, value_ops::CmpOp::kLe, Value::Double(400.0)}},
-      {{2, value_ops::CmpOp::kEq, Value::Str("bob")}},
-      {{2, value_ops::CmpOp::kGe, Value::Str("cat")},
-       {0, value_ops::CmpOp::kNe, Value::Int(7)}},
-      {{0, value_ops::CmpOp::kGt, Value::Int(20)},
-       {1, value_ops::CmpOp::kLt, Value::Double(900.0)},
-       {2, value_ops::CmpOp::kNe, Value::Str("dee")}},
-  };
-  const std::vector<std::pair<size_t, size_t>> ranges = {
-      {0, ct.num_rows()}, {13, 250}, {499, 500}, {100, 100}, {490, 10000}};
-  for (const auto& preds : pred_sets) {
-    const std::vector<CompiledPredicate> compiled =
-        ct.CompilePredicates(preds);
-    ASSIGN_OR_FAIL(std::unique_ptr<ExprProgram> prog,
-                   ExprProgram::CompileScanPredicates(ct, preds));
-    for (const auto& range : ranges) {
-      std::vector<uint32_t> want;
-      std::vector<uint32_t> got;
-      ct.FilterRange(range.first, range.second, compiled, &want);
-      Status st = prog->FilterRange(range.first, range.second, &got);
-      ASSERT_TRUE(st.ok()) << st.ToString();
-      EXPECT_EQ(want, got) << "preds[0].col=" << preds[0].column << " range ["
-                           << range.first << ", " << range.second << ")";
-    }
-  }
-}
-
 TEST(BytecodeEngineWiringTest, FilterAnnotatesProfileAndFallsBack) {
   // A NULL-typed column reference is one of the shapes the compiler
   // declines; the interpreter handles it fine (IS NULL is total), so the
@@ -317,11 +268,10 @@ TEST(BytecodeEngineWiringTest, FilterAnnotatesProfileAndFallsBack) {
       "t", s,
       {{Value::Int(1), Value::Null()}, {Value::Int(2), Value::Null()}});
 
-  auto run_filter = [&](ExprPtr pred, ExprEngine engine) {
+  auto run_filter = [&](ExprPtr pred) {
     auto scan = std::make_unique<TableScanOp>(table.get());
     auto filter =
         std::make_unique<FilterOp>(std::move(scan), std::move(pred));
-    filter->set_expr_engine(engine);
     ExecContext ctx;
     ctx.set_profiling(true);
     Result<QueryResult> r = ExecuteToVector(filter.get(), &ctx);
@@ -329,21 +279,16 @@ TEST(BytecodeEngineWiringTest, FilterAnnotatesProfileAndFallsBack) {
     return CollectProfile(*filter).profile;
   };
 
-  OpRuntimeProfile compiled = run_filter(Gt(Col(s, "v"), Lit(int64_t{0})),
-                                         ExprEngine::kBytecode);
+  OpRuntimeProfile compiled = run_filter(Gt(Col(s, "v"), Lit(int64_t{0})));
   EXPECT_EQ(compiled.expr_engine, "bytecode");
   EXPECT_EQ(compiled.expr_instructions, 2u);
   EXPECT_TRUE(compiled.expr_fallback.empty()) << compiled.expr_fallback;
 
-  OpRuntimeProfile fallback = run_filter(
-      Unary(UnaryOp::kIsNull, Col(s, "n")), ExprEngine::kBytecode);
+  OpRuntimeProfile fallback =
+      run_filter(Unary(UnaryOp::kIsNull, Col(s, "n")));
   EXPECT_EQ(fallback.expr_engine, "interpret");
   EXPECT_EQ(fallback.expr_instructions, 0u);
   EXPECT_FALSE(fallback.expr_fallback.empty());
-
-  OpRuntimeProfile forced = run_filter(Gt(Col(s, "v"), Lit(int64_t{0})),
-                                       ExprEngine::kInterpret);
-  EXPECT_EQ(forced.expr_engine, "interpret");
 }
 
 TEST(BytecodeEngineWiringTest, ProjectReportsMixedEngines) {
@@ -358,8 +303,6 @@ TEST(BytecodeEngineWiringTest, ProjectReportsMixedEngines) {
   ASSIGN_OR_FAIL(PhysOpPtr project,
                  ProjectOp::Make(std::move(scan), std::move(exprs),
                                  {"v1", "isnull_n"}));
-  static_cast<ProjectOp*>(project.get())
-      ->set_expr_engine(ExprEngine::kBytecode);
   ExecContext ctx;
   ctx.set_profiling(true);
   ASSIGN_OR_FAIL(QueryResult result,
@@ -369,20 +312,6 @@ TEST(BytecodeEngineWiringTest, ProjectReportsMixedEngines) {
   EXPECT_EQ(profile.expr_engine, "mixed");
   EXPECT_FALSE(profile.expr_fallback.empty());
   EXPECT_GT(profile.expr_instructions, 0u);
-}
-
-TEST(ExprEngineParseTest, ParsesAndRejects) {
-  ExprEngine e = ExprEngine::kAuto;
-  EXPECT_TRUE(ParseExprEngine("bytecode", &e));
-  EXPECT_EQ(e, ExprEngine::kBytecode);
-  EXPECT_TRUE(ParseExprEngine("interpret", &e));
-  EXPECT_EQ(e, ExprEngine::kInterpret);
-  EXPECT_TRUE(ParseExprEngine("auto", &e));
-  EXPECT_EQ(e, ExprEngine::kAuto);
-  EXPECT_FALSE(ParseExprEngine("jit", &e));
-  EXPECT_FALSE(ParseExprEngine("", &e));
-  EXPECT_STREQ(ExprEngineName(ExprEngine::kBytecode), "bytecode");
-  EXPECT_STREQ(ExprEngineName(ExprEngine::kInterpret), "interpret");
 }
 
 class ExprEngineDatabaseTest : public ::testing::Test {
@@ -396,48 +325,30 @@ class ExprEngineDatabaseTest : public ::testing::Test {
   Database db_;
 };
 
-TEST_F(ExprEngineDatabaseTest, SetExprEngineIsBitForBit) {
-  const std::vector<std::string> queries = {
-      "select ps_partkey, ps_availqty * 2 + 1 from partsupp "
-      "where ps_availqty > 100",
-      "select p_name from part where p_retailprice / 2.0 < 450.0",
-      "select gapply(select count(*) from g where p_retailprice > 900) "
-      "from partsupp, part where ps_partkey = p_partkey "
-      "group by ps_suppkey : g",
-  };
-  for (const std::string& sql : queries) {
-    ASSERT_TRUE(db_.Query("set expr_engine = interpret").ok());
-    ASSIGN_OR_FAIL(QueryResult interp, db_.Query(sql));
-    ASSERT_TRUE(db_.Query("set expr_engine = bytecode").ok());
-    ASSIGN_OR_FAIL(QueryResult bytecode, db_.Query(sql));
-    EXPECT_TRUE(SameRowSequence(interp.rows, bytecode.rows)) << sql;
-  }
-}
-
 TEST_F(ExprEngineDatabaseTest, ExplainAnalyzeShowsEngine) {
-  ASSERT_TRUE(db_.Query("set expr_engine = bytecode").ok());
   ASSIGN_OR_FAIL(
       std::string text,
-      db_.ExplainAnalyze("select p_name from part where p_size > 20"));
+      db_.ExplainAnalyze("select p_name from part where p_size + 1 > 20"));
   EXPECT_NE(text.find("expr=bytecode"), std::string::npos) << text;
 
-  ASSERT_TRUE(db_.Query("set expr_engine = interpret").ok());
-  ASSIGN_OR_FAIL(
-      std::string interp_text,
-      db_.ExplainAnalyze("select p_name from part where p_size > 20"));
-  EXPECT_NE(interp_text.find("expr=interpret"), std::string::npos)
-      << interp_text;
-
-  ASSIGN_OR_FAIL(
-      JsonValue json,
-      db_.ExplainAnalyzeJson("select p_name from part where p_size > 20"));
+  ASSIGN_OR_FAIL(JsonValue json,
+                 db_.ExplainAnalyzeJson(
+                     "select p_name from part where p_size + 1 > 20"));
   EXPECT_NE(json.Dump().find("expr_engine"), std::string::npos);
 }
 
+// The engine is fixed per expression by the compiler, not by a session
+// option: the retired `expr_engine` knob reads as unknown, whatever value.
 TEST_F(ExprEngineDatabaseTest, RejectsUnknownEngine) {
-  Result<QueryResult> r = db_.Query("set expr_engine = jit");
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().ToString().find("expr_engine"), std::string::npos);
+  for (const char* sql :
+       {"set expr_engine = bytecode", "set expr_engine = interpret",
+        "set expr_engine = jit"}) {
+    Result<QueryResult> r = db_.Query(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_NE(r.status().ToString().find("unknown session option"),
+              std::string::npos)
+        << sql << ": " << r.status().ToString();
+  }
 }
 
 TEST(FoldConstantsTest, FoldsPureConstantSubtrees) {
